@@ -1,42 +1,24 @@
 #!/usr/bin/env python
 """Runner smoke benchmark: the experiment engine's trajectory log.
 
-Runs a fixed 8-point regulation sweep four ways -- in-process serial
-under each scheduler backend (``REPRO_SCHED=calendar|heap``), under
-the adaptive selector (``REPRO_SCHED=auto``), and once through the
-process pool -- asserts all four produce byte-identical summaries,
-then times the kernel's scheduler-stress and batched-dispatch probes.
-The timings are appended to ``BENCH_runner.json`` so successive PRs
+Runs a fixed 8-point regulation sweep twice -- once in-process serial
+and once through the process pool -- asserts both produce byte-identical
+summaries, then times the kernel's scheduler-stress probe.  The
+timings are appended to ``BENCH_runner.json`` so successive PRs
 accumulate a performance trajectory for the experiment engine and the
 simulation kernel under it.
 
-Appended records carry ``schema: 7`` and a ``kind`` discriminator:
+Appended records carry ``schema: 8`` and a ``kind`` discriminator:
 
-* ``runner_sweep``      -- serial vs process-pool wall time (plus the
-  scheduler label the sweep ran under and, for serial fallbacks, the
-  runner's ``fallback_reason``);
-* ``sched_sweep``       -- the same sweep, heap vs calendar backend:
-  the measured end-to-end scheduler comparison;
-* ``auto_sched``        -- the same sweep under ``REPRO_SCHED=auto``
-  vs the better static backend, best-of-``AUTO_REPEATS`` wall times;
-  this record backs the perf gate (see below);
-* ``kernel_throughput`` -- raw scheduler events/s at a 128k-event
-  resident population, heap vs calendar (the E22 headline probe),
-  plus the batched dispatch loop's same-run Simulator-level rates at
-  the same population;
-* ``batch_dispatch``    -- batched vs per-event dispatch
-  (``REPRO_BATCH``) through ``Simulator.run`` at a tiny and at the
-  stress population, both backends, with same-run ratios; since
-  schema 7 each row also carries the population-aware ``auto`` mode's
-  rate and its ratio vs the better static mode -- the parity proof
-  that auto pays neither the tiny-population batching tax nor the
-  stress-population per-event tax;
+* ``runner_sweep``      -- serial vs process-pool wall time (plus, for
+  serial fallbacks, the runner's ``fallback_reason``);
+* ``kernel_throughput`` -- raw event-queue events/s at a 128k-event
+  resident population (the E22 headline probe);
 * ``fastforward``       -- the steady-state macro-stepper
-  (``REPRO_FASTFORWARD``, new in schema 7): wall time of a
-  regulation-bound open-loop streaming scenario with the engine off
-  vs on under both scheduler backends (same-run speedup, gated at
-  ``FF_MIN_SPEEDUP``), byte-identity of the result tables across all
-  four runs, and the engine's paired overhead ratio on an irregular
+  (``REPRO_FASTFORWARD``): wall time of a regulation-bound open-loop
+  streaming scenario with the engine off vs on (same-run speedup,
+  gated at ``FF_MIN_SPEEDUP``), byte-identity of the two result
+  tables, and the engine's paired overhead ratio on an irregular
   scenario where it always declines (gated at ``FF_MAX_OVERHEAD``);
 * ``runner_telemetry``  -- the pool run's execution report
   (:class:`repro.telemetry.RunnerTelemetry`: per-spec seconds,
@@ -60,16 +42,13 @@ Usage::
 
     PYTHONPATH=src python scripts/bench_smoke.py [--out BENCH_runner.json]
 
-Exit code 0 = all row sets identical AND the auto gate holds (auto's
-best-of wall time may not exceed the better static backend's by more
-than ``AUTO_GATE_SLACK``) AND the forced-parallel gate holds (under
-``REPRO_JOBS=2`` the runner must actually use the pool and produce
-byte-identical rows) AND the fast-forward gates hold (byte-identical
-tables, >= ``FF_MIN_SPEEDUP`` same-run speedup on the steady
-scenario, <= ``FF_MAX_OVERHEAD`` paired overhead where the engine
-declines).  Raw cross-mode speedups remain reported, not asserted:
-CI boxes with one core legitimately see ~1x, and tiny populations
-legitimately favour the C-implemented heap.
+Exit code 0 = all row sets identical AND the forced-parallel gate
+holds (under ``REPRO_JOBS=2`` the runner must actually use the pool
+and produce byte-identical rows) AND the fast-forward gates hold
+(byte-identical tables, >= ``FF_MIN_SPEEDUP`` same-run speedup on the
+steady scenario, <= ``FF_MAX_OVERHEAD`` paired overhead where the
+engine declines).  The serial/pool speedup remains reported, not
+asserted: CI boxes with one core legitimately see ~1x.
 
 A pre-existing ``--out`` file that cannot be parsed as a JSON list is
 quarantined (renamed to ``<out>.corrupt-N``) and a fresh history is
@@ -90,15 +69,11 @@ sys.path.insert(0, os.path.join(_HERE, "..", "src"))
 sys.path.insert(0, os.path.join(_HERE, ".."))
 
 from repro.runner import ParallelRunner, RunSpec, resolve_workers  # noqa: E402
-from repro.sim.kernel import (  # noqa: E402
-    FASTFORWARD_ENV,
-    SCHED_ENV,
-    resolve_scheduler,
-)
+from repro.sim.kernel import FASTFORWARD_ENV  # noqa: E402
 from repro.soc.presets import zcu102  # noqa: E402
 
 #: Schema version stamped on every appended record.
-SCHEMA = 7
+SCHEMA = 8
 
 #: ABBA rounds for the probe-overhead record (the CI gate uses its
 #: own, stricter repeat count).
@@ -107,16 +82,8 @@ PROBE_REPEATS = 3
 #: Worker count forced (via ``REPRO_JOBS``) for the parallel proof.
 FORCED_JOBS = 2
 
-#: Sweep repetitions per scheduler for the auto gate; best-of filters
-#: the VM noise that single runs are hostage to.
-AUTO_REPEATS = 3
-
-#: The auto gate: auto's best-of wall time may exceed the better
-#: static backend's by at most this factor.
-AUTO_GATE_SLACK = 1.10
-
 #: Fast-forward gate: same-run wall-time speedup the macro-stepper
-#: must deliver on the steady regulation-bound scenario, per backend.
+#: must deliver on the steady regulation-bound scenario.
 #: (Measured headroom is ~4x; the floor guards the engine's whole
 #: point -- skipping regular regions analytically.)
 FF_MIN_SPEEDUP = 3.0
@@ -169,23 +136,13 @@ def build_specs():
     return specs
 
 
-def timed_run(max_workers, scheduler=None):
+def timed_run(max_workers):
     """Run the sweep uncached; return (rows-as-json, seconds, runner)."""
-    previous = os.environ.get(SCHED_ENV)
-    if scheduler is not None:
-        os.environ[SCHED_ENV] = scheduler
-    try:
-        runner = ParallelRunner(max_workers=max_workers, cache=None)
-        start = time.perf_counter()
-        summaries = runner.run(build_specs())
-        elapsed = time.perf_counter() - start
-        runner.close()
-    finally:
-        if scheduler is not None:
-            if previous is None:
-                os.environ.pop(SCHED_ENV, None)
-            else:
-                os.environ[SCHED_ENV] = previous
+    runner = ParallelRunner(max_workers=max_workers, cache=None)
+    start = time.perf_counter()
+    summaries = runner.run(build_specs())
+    elapsed = time.perf_counter() - start
+    runner.close()
     return [s.to_json() for s in summaries], elapsed, runner
 
 
@@ -213,60 +170,14 @@ def forced_parallel_run():
 
 
 def kernel_throughput():
-    """The E22 scheduler-stress probe: events/s per backend."""
+    """The E22 scheduler-stress probe: event-queue events/s."""
     from benchmarks.bench_e22_kernel import (
-        BACKENDS,
         STRESS_POPULATION,
         _bench_scheduler_stress,
     )
 
-    rates = {}
-    for name, queue_cls in BACKENDS:
-        rate, _ = _bench_scheduler_stress(queue_cls)
-        rates[name] = rate
-    return rates, STRESS_POPULATION
-
-
-def batch_dispatch_rates():
-    """Batched vs per-event vs population-aware ``auto`` Simulator
-    dispatch, both backends, at a tiny and at the stress population
-    (same-run ratios).
-
-    The ``auto`` columns are the parity proof for the adaptive mode:
-    at the tiny population it must track the per-event rate (schema-4
-    rows showed static batching costs 13-21% there), at the stress
-    population it must track the batched rate.
-    """
-    from repro.sim.kernel import AUTO_BATCH
-    from benchmarks.bench_e22_kernel import (
-        BACKENDS,
-        BATCH_POPULATIONS,
-        dispatch_throughput,
-    )
-
-    rows = []
-    for label, population in BATCH_POPULATIONS:
-        # Tiny populations finish instantly; give them enough events
-        # for a stable rate without stretching the stress run.
-        events = 100_000
-        for name, _ in BACKENDS:
-            batched = dispatch_throughput(name, True, population, events)
-            per_event = dispatch_throughput(name, False, population, events)
-            auto = dispatch_throughput(name, AUTO_BATCH, population, events)
-            best_static = max(batched, per_event)
-            rows.append(
-                {
-                    "population_label": label,
-                    "population": population,
-                    "backend": name,
-                    "batched_events_s": round(batched),
-                    "per_event_events_s": round(per_event),
-                    "batched_vs_per_event": round(batched / per_event, 3),
-                    "auto_events_s": round(auto),
-                    "auto_vs_best_static": round(auto / best_static, 3),
-                }
-            )
-    return rows
+    rate, _ = _bench_scheduler_stress()
+    return rate, STRESS_POPULATION
 
 
 def _ff_steady_config():
@@ -320,13 +231,12 @@ def _ff_irregular_config():
     )
 
 
-def _ff_run(config, scheduler, fastforward, horizon):
+def _ff_run(config, fastforward, horizon):
     """One platform run -> ``(table, seconds, ff_regions)``."""
     from repro.soc.experiment import PlatformResult
     from repro.soc.platform import Platform
 
-    saved = {key: os.environ.get(key) for key in (SCHED_ENV, FASTFORWARD_ENV)}
-    os.environ[SCHED_ENV] = scheduler
+    previous = os.environ.get(FASTFORWARD_ENV)
     os.environ[FASTFORWARD_ENV] = "1" if fastforward else "0"
     try:
         platform = Platform(config)
@@ -336,11 +246,10 @@ def _ff_run(config, scheduler, fastforward, horizon):
         table = PlatformResult(platform, elapsed).summary().to_json()
         regions = platform.sim.kernel_stats().get("ff_regions", 0)
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if previous is None:
+            os.environ.pop(FASTFORWARD_ENV, None)
+        else:
+            os.environ[FASTFORWARD_ENV] = previous
     return table, seconds, regions
 
 
@@ -348,32 +257,18 @@ def fastforward_record():
     """The macro-stepper's smoke measurement.
 
     Returns the ``fastforward`` record dict (sans schema/timestamp):
-    per-backend off/on wall times and same-run speedups on the steady
-    scenario, byte-identity across all four runs, engagement counts,
-    and the median ABBA-paired overhead ratio on the irregular
-    scenario where the engine declines everything.
+    off/on wall times and the same-run speedup on the steady scenario,
+    byte-identity of the two runs, the engagement count, and the
+    median ABBA-paired overhead ratio on the irregular scenario where
+    the engine declines everything.
     """
     import statistics
 
     steady = _ff_steady_config()
-    tables = {}
-    times = {}
-    regions_on = {}
-    for scheduler in ("heap", "calendar"):
-        for fastforward in (False, True):
-            table, seconds, regions = _ff_run(
-                steady, scheduler, fastforward, FF_STEADY_HORIZON
-            )
-            tables[(scheduler, fastforward)] = table
-            times[(scheduler, fastforward)] = seconds
-            if fastforward:
-                regions_on[scheduler] = regions
-    reference = tables[("heap", False)]
-    rows_identical = all(table == reference for table in tables.values())
-    speedups = {
-        scheduler: times[(scheduler, False)] / times[(scheduler, True)]
-        for scheduler in ("heap", "calendar")
-    }
+    table_off, off_s, _ = _ff_run(steady, False, FF_STEADY_HORIZON)
+    table_on, on_s, regions = _ff_run(steady, True, FF_STEADY_HORIZON)
+    rows_identical = table_on == table_off
+    speedup = off_s / on_s
 
     # Paired overhead on the always-declining scenario: ABBA pairs
     # (on, off, off, on) so monotone drift -- e.g. thermal settling
@@ -382,20 +277,12 @@ def fastforward_record():
     irregular = _ff_irregular_config()
     ratios = []
     declined_regions = 0
-    _ff_run(irregular, "calendar", False, FF_IRREGULAR_HORIZON)  # warm-up
+    _ff_run(irregular, False, FF_IRREGULAR_HORIZON)  # warm-up
     for _ in range(FF_OVERHEAD_REPEATS):
-        _, a_on, regions_a = _ff_run(
-            irregular, "calendar", True, FF_IRREGULAR_HORIZON
-        )
-        _, a_off, _ = _ff_run(
-            irregular, "calendar", False, FF_IRREGULAR_HORIZON
-        )
-        _, b_off, _ = _ff_run(
-            irregular, "calendar", False, FF_IRREGULAR_HORIZON
-        )
-        _, b_on, regions_b = _ff_run(
-            irregular, "calendar", True, FF_IRREGULAR_HORIZON
-        )
+        _, a_on, regions_a = _ff_run(irregular, True, FF_IRREGULAR_HORIZON)
+        _, a_off, _ = _ff_run(irregular, False, FF_IRREGULAR_HORIZON)
+        _, b_off, _ = _ff_run(irregular, False, FF_IRREGULAR_HORIZON)
+        _, b_on, regions_b = _ff_run(irregular, True, FF_IRREGULAR_HORIZON)
         declined_regions += regions_a + regions_b
         ratios.append((a_on + b_on) / (a_off + b_off))
     overhead = statistics.median(ratios)
@@ -403,13 +290,10 @@ def fastforward_record():
     return {
         "kind": "fastforward",
         "steady_horizon": FF_STEADY_HORIZON,
-        "heap_off_s": round(times[("heap", False)], 3),
-        "heap_on_s": round(times[("heap", True)], 3),
-        "calendar_off_s": round(times[("calendar", False)], 3),
-        "calendar_on_s": round(times[("calendar", True)], 3),
-        "heap_speedup": round(speedups["heap"], 3),
-        "calendar_speedup": round(speedups["calendar"], 3),
-        "regions": regions_on,
+        "off_s": round(off_s, 3),
+        "on_s": round(on_s, 3),
+        "speedup": round(speedup, 3),
+        "regions": regions,
         "rows_identical": rows_identical,
         "min_speedup": FF_MIN_SPEEDUP,
         "irregular_horizon": FF_IRREGULAR_HORIZON,
@@ -418,29 +302,11 @@ def fastforward_record():
         "max_overhead": FF_MAX_OVERHEAD,
         "gate_ok": (
             rows_identical
-            and min(speedups.values()) >= FF_MIN_SPEEDUP
+            and speedup >= FF_MIN_SPEEDUP
             and overhead <= FF_MAX_OVERHEAD
             and declined_regions == 0
         ),
     }
-
-
-def auto_sweep_gate():
-    """Best-of-``AUTO_REPEATS`` sweep wall time per scheduler.
-
-    Returns ``(times, rows_by_sched)`` where ``times`` maps
-    ``auto``/``heap``/``calendar`` to best-of seconds.
-    """
-    times = {}
-    rows_by_sched = {}
-    for sched in ("heap", "calendar", "auto"):
-        best = None
-        for _ in range(AUTO_REPEATS):
-            rows, elapsed, _ = timed_run(max_workers=1, scheduler=sched)
-            rows_by_sched[sched] = rows
-            best = elapsed if best is None else min(best, elapsed)
-        times[sched] = best
-    return times, rows_by_sched
 
 
 def _timestamp():
@@ -493,116 +359,43 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    default_sched = resolve_scheduler()
-
-    # Serial sweeps over the same grid under every scheduler (best-of
-    # repeats, shared with the auto gate), then the process pool under
-    # the default scheduler.  The pool runs with an explicit
-    # max_workers="auto" so the telemetry record measures the runner's
-    # automatic worker resolution, not a serial fallback.
-    times, rows_by_sched = auto_sweep_gate()
-    calendar_rows = rows_by_sched["calendar"]
-    heap_s, calendar_s = times["heap"], times["calendar"]
+    # One serial sweep, then the process pool.  The pool runs with an
+    # explicit max_workers="auto" so the telemetry record measures the
+    # runner's automatic worker resolution, not a serial fallback.
+    serial_rows, serial_s, _ = timed_run(max_workers=1)
     parallel_rows, parallel_s, parallel_runner = timed_run(max_workers="auto")
     stats = parallel_runner.last_stats
     mode = stats.mode
 
-    if calendar_rows != rows_by_sched["heap"]:
-        print("FAIL: heap and calendar summaries differ", file=sys.stderr)
-        return 1
-    if calendar_rows != rows_by_sched["auto"]:
-        print("FAIL: auto and calendar summaries differ", file=sys.stderr)
-        return 1
-    if calendar_rows != parallel_rows:
+    if serial_rows != parallel_rows:
         print("FAIL: serial and parallel summaries differ", file=sys.stderr)
         return 1
 
-    serial_s = times.get(default_sched, calendar_s)
-    best_static = min(heap_s, calendar_s)
-    auto_ok = times["auto"] <= best_static * AUTO_GATE_SLACK
     workers = ParallelRunner().max_workers
     records = [
         {
             "schema": SCHEMA,
             "kind": "runner_sweep",
-            "points": len(calendar_rows),
+            "points": len(serial_rows),
             "workers": workers,
             "parallel_mode": mode,
             "fallback_reason": getattr(stats, "fallback_reason", None),
-            "scheduler": default_sched,
             "serial_s": round(serial_s, 3),
             "parallel_s": round(parallel_s, 3),
             "speedup": round(serial_s / parallel_s, 3) if parallel_s else None,
             "rows_identical": True,
             "timestamp": _timestamp(),
         },
-        {
-            "schema": SCHEMA,
-            "kind": "sched_sweep",
-            "points": len(calendar_rows),
-            "heap_s": round(heap_s, 3),
-            "calendar_s": round(calendar_s, 3),
-            "calendar_vs_heap": round(heap_s / calendar_s, 3)
-            if calendar_s
-            else None,
-            "rows_identical": True,
-            "timestamp": _timestamp(),
-        },
-        {
-            "schema": SCHEMA,
-            "kind": "auto_sched",
-            "points": len(calendar_rows),
-            "repeats": AUTO_REPEATS,
-            "auto_s": round(times["auto"], 3),
-            "heap_s": round(heap_s, 3),
-            "calendar_s": round(calendar_s, 3),
-            "auto_vs_best_static": round(times["auto"] / best_static, 3)
-            if best_static
-            else None,
-            "gate_slack": AUTO_GATE_SLACK,
-            "gate_ok": auto_ok,
-            "timestamp": _timestamp(),
-        },
     ]
 
-    rates, population = kernel_throughput()
-    batch_rows = batch_dispatch_rates()
-    stress_batch = {
-        row["backend"]: row
-        for row in batch_rows
-        if row["population_label"] == "stress"
-    }
+    rate, population = kernel_throughput()
     records.append(
         {
             "schema": SCHEMA,
             "kind": "kernel_throughput",
             "probe": "scheduler_stress",
             "population": population,
-            "heap_events_s": round(rates["heap"]),
-            "calendar_events_s": round(rates["calendar"]),
-            "calendar_vs_heap": round(rates["calendar"] / rates["heap"], 3),
-            # Same-run Simulator-level rates at the same population:
-            # the batched dispatch loop's contribution on top of the
-            # raw queue figures above.
-            "calendar_batched_events_s": stress_batch["calendar"][
-                "batched_events_s"
-            ],
-            "heap_batched_events_s": stress_batch["heap"]["batched_events_s"],
-            "calendar_batched_vs_per_event": stress_batch["calendar"][
-                "batched_vs_per_event"
-            ],
-            "heap_batched_vs_per_event": stress_batch["heap"][
-                "batched_vs_per_event"
-            ],
-            "timestamp": _timestamp(),
-        }
-    )
-    records.append(
-        {
-            "schema": SCHEMA,
-            "kind": "batch_dispatch",
-            "probe": "dispatch_hold",
-            "rows": batch_rows,
+            "heap_events_s": round(rate),
             "timestamp": _timestamp(),
         }
     )
@@ -650,7 +443,7 @@ def main(argv=None) -> int:
     # worker on a one-core runner) and must stay byte-identical.
     auto_workers, auto_source = resolve_workers()
     forced_rows, forced_s, forced_stats = forced_parallel_run()
-    forced_identical = forced_rows == calendar_rows
+    forced_identical = forced_rows == serial_rows
     forced_ok = forced_stats.mode == "parallel" and forced_identical
     records.append(
         {
@@ -688,43 +481,19 @@ def main(argv=None) -> int:
     with open(out, "w") as fh:
         json.dump(history, fh, indent=2)
 
-    sweep, sched, auto, kernel = records[:4]
+    sweep, kernel = records[:2]
     print(
         f"bench_smoke: {sweep['points']} points, "
-        f"serial {sweep['serial_s']}s ({default_sched}), "
+        f"serial {sweep['serial_s']}s, "
         f"{mode} {sweep['parallel_s']}s (x{sweep['speedup']}, "
         f"{workers} workers)"
     )
     if sweep["fallback_reason"]:
         print(f"bench_smoke: pool fallback: {sweep['fallback_reason']}")
+    print(f"bench_smoke: kernel stress {kernel['heap_events_s']} ev/s -> {out}")
     print(
-        f"bench_smoke: sched sweep heap {sched['heap_s']}s vs "
-        f"calendar {sched['calendar_s']}s "
-        f"(x{sched['calendar_vs_heap']} end-to-end)"
-    )
-    print(
-        f"bench_smoke: auto {auto['auto_s']}s vs best static "
-        f"{best_static:.3f}s (x{auto['auto_vs_best_static']}, "
-        f"best of {AUTO_REPEATS})"
-    )
-    print(
-        f"bench_smoke: kernel stress {kernel['heap_events_s']} ev/s heap "
-        f"vs {kernel['calendar_events_s']} ev/s calendar "
-        f"(x{kernel['calendar_vs_heap']}) -> {out}"
-    )
-    for row in batch_rows:
-        print(
-            f"bench_smoke: batch dispatch [{row['population_label']}/"
-            f"{row['backend']}] batched {row['batched_events_s']} ev/s vs "
-            f"per-event {row['per_event_events_s']} ev/s "
-            f"(x{row['batched_vs_per_event']}); auto {row['auto_events_s']} "
-            f"ev/s (x{row['auto_vs_best_static']} of best static)"
-        )
-    print(
-        f"bench_smoke: fastforward steady heap {ff['heap_off_s']}s -> "
-        f"{ff['heap_on_s']}s (x{ff['heap_speedup']}), calendar "
-        f"{ff['calendar_off_s']}s -> {ff['calendar_on_s']}s "
-        f"(x{ff['calendar_speedup']}); rows_identical={ff['rows_identical']}"
+        f"bench_smoke: fastforward steady {ff['off_s']}s -> {ff['on_s']}s "
+        f"(x{ff['speedup']}); rows_identical={ff['rows_identical']}"
     )
     print(
         f"bench_smoke: fastforward irregular paired overhead "
@@ -759,14 +528,6 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
-    if not auto_ok:
-        print(
-            f"FAIL: auto scheduler {times['auto']:.3f}s exceeds the "
-            f"better static backend {best_static:.3f}s by more than "
-            f"{AUTO_GATE_SLACK:.0%}",
-            file=sys.stderr,
-        )
-        return 1
     if not ff["gate_ok"]:
         if not ff["rows_identical"]:
             reason = "produced non-identical result tables"
@@ -779,7 +540,7 @@ def main(argv=None) -> int:
             )
         else:
             reason = (
-                f"delivered only x{min(ff['heap_speedup'], ff['calendar_speedup'])} "
+                f"delivered only x{ff['speedup']} "
                 f"on the steady scenario (floor x{FF_MIN_SPEEDUP})"
             )
         print(f"FAIL: fast-forward engine {reason}", file=sys.stderr)

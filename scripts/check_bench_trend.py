@@ -2,9 +2,9 @@
 """Kernel-throughput trend gate for CI.
 
 Compares the newest ``kernel_throughput`` record in
-``BENCH_runner.json`` against the previous one and fails when either
-backend's scheduler-stress rate regressed by more than
-``--threshold`` (default 15%).  The smoke benchmark appends one such
+``BENCH_runner.json`` against the previous one and fails when the
+event queue's scheduler-stress rate (``heap_events_s``) regressed by
+more than ``--threshold`` (default 15%).  The smoke benchmark appends one such
 record per run, so the log is the kernel's performance trajectory
 across PRs; this gate turns a silent drop in that trajectory into a
 red build instead of a note someone may read later.
@@ -31,15 +31,16 @@ import sys
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
 
-#: Rate fields of a ``kernel_throughput`` record the gate judges.
-RATE_KEYS = ("heap_events_s", "calendar_events_s")
+#: Rate field of a ``kernel_throughput`` record the gate judges.
+RATE_KEY = "heap_events_s"
 
 
 def find_regressions(history, threshold):
     """Newest-vs-previous comparison of the throughput records.
 
     Returns ``(regressions, previous, newest)`` where ``regressions``
-    is a list of ``(key, old, new, drop)`` tuples; ``previous`` and
+    is a list holding at most one ``(key, old, new, drop)`` tuple;
+    ``previous`` and
     ``newest`` are ``None`` when the file holds fewer than two
     ``kernel_throughput`` records.
     """
@@ -52,13 +53,9 @@ def find_regressions(history, threshold):
         return [], None, None
     previous, newest = records[-2], records[-1]
     regressions = []
-    for key in RATE_KEYS:
-        old, new = previous.get(key), newest.get(key)
-        if not old or new is None:
-            continue
-        drop = 1.0 - new / old
-        if drop > threshold:
-            regressions.append((key, old, new, drop))
+    old, new = previous.get(RATE_KEY), newest.get(RATE_KEY)
+    if old and new is not None and 1.0 - new / old > threshold:
+        regressions.append((RATE_KEY, old, new, 1.0 - new / old))
     return regressions, previous, newest
 
 
@@ -103,11 +100,9 @@ def main(argv=None) -> int:
         f"bench trend: {previous.get('timestamp')} -> "
         f"{newest.get('timestamp')} (threshold {args.threshold:.0%})"
     )
-    for key in RATE_KEYS:
-        old, new = previous.get(key), newest.get(key)
-        if not old or new is None:
-            continue
-        print(f"bench trend: {key} {old:,} -> {new:,} ({new / old - 1.0:+.1%})")
+    old, new = previous.get(RATE_KEY), newest.get(RATE_KEY)
+    if old and new is not None:
+        print(f"bench trend: {RATE_KEY} {old:,} -> {new:,} ({new / old - 1.0:+.1%})")
     if regressions:
         for key, old, new, drop in regressions:
             print(

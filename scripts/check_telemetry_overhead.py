@@ -38,10 +38,7 @@ _HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(_HERE, "..", "src"))
 sys.path.insert(0, os.path.join(_HERE, ".."))
 
-from benchmarks.bench_e22_kernel import (  # noqa: E402
-    BACKENDS,
-    _bench_scheduler_stress,
-)
+from benchmarks.bench_e22_kernel import _bench_scheduler_stress  # noqa: E402
 from repro.telemetry import (  # noqa: E402
     TELEMETRY_ENV,
     MetricsRegistry,
@@ -54,8 +51,7 @@ def _sample(mode: str) -> float:
     os.environ[TELEMETRY_ENV] = mode
     # Rebuild the process-wide registry so it re-reads the env var.
     set_registry(MetricsRegistry())
-    queue_cls = dict(BACKENDS)["calendar"]
-    return _bench_scheduler_stress(queue_cls)[0]
+    return _bench_scheduler_stress()[0]
 
 
 def _measure(repeats: int) -> "tuple":

@@ -1,6 +1,6 @@
 """HOT: allocation/lookup discipline inside designated hot paths.
 
-The kernel dispatch loop and the queue backends run once per event --
+The kernel dispatch loop and the event queue run once per event --
 millions of times per experiment -- and earlier perf work (PR 1/2)
 got its wins precisely by keeping those bodies free of allocation and
 repeated attribute traversal.  These rules keep that property from

@@ -8,8 +8,7 @@ preallocated ring of rows.  Daemon events neither keep the run alive
 nor participate in any result the platform reports, and every probe
 read is side-effect-free, so a run is **bit-identical** whether a
 sampler is attached or not -- the differential tests in
-``tests/probes/test_sampler.py`` prove this on both scheduler
-backends.
+``tests/probes/test_sampler.py`` prove this.
 
 The ring is allocated once at construction (``capacity`` rows of
 ``len(probes)`` slots each); the per-tick work is one read + one list

@@ -13,21 +13,16 @@ Public entry points:
 * :func:`repro.sim.rng.component_rng` -- stable per-component RNGs.
 """
 
-from repro.sim.calendar import CalendarQueue
 from repro.sim.event import Event, EventQueue
-from repro.sim.kernel import SCHED_ENV, SCHEDULERS, Simulator, resolve_scheduler
+from repro.sim.kernel import Simulator
 from repro.sim.rng import component_rng
 from repro.sim.stats import Counter, Sampler, StatSet, TimeSeries
 from repro.sim.trace import TraceRecord, TraceRecorder
 
 __all__ = [
-    "CalendarQueue",
     "Event",
     "EventQueue",
-    "SCHED_ENV",
-    "SCHEDULERS",
     "Simulator",
-    "resolve_scheduler",
     "component_rng",
     "Counter",
     "Sampler",

@@ -58,8 +58,8 @@ Equivalence argument (the detector enforces every premise):
 
 Result tables are therefore byte-identical to the event-accurate
 kernel (enforced by ``tests/sim/test_fastforward.py`` and the CI
-differential gate); only kernel telemetry -- events dispatched, idle
-cycles -- legitimately differs, and the engine reports its own
+differential gate); only kernel telemetry -- the events-dispatched count --
+legitimately differs, and the engine reports its own
 activity through :meth:`Simulator.kernel_stats` (``ff_regions``,
 ``ff_cycles_skipped``, ``ff_arrivals``).
 
@@ -154,11 +154,10 @@ class FastForwardEngine:
     def attempt(self, next_time: int, until: Optional[int]) -> Optional[int]:
         """Try to macro-step from ``next_time``; None = declined.
 
-        Called by the dispatch loops between cycles, with ``next_time``
+        Called by the dispatch loop between cycles, with ``next_time``
         the queue's peeked next event time.  On success the clock has
-        been advanced and the return value is the idle-cycle count the
-        batched loop would have accounted over the region (skipped
-        span minus dispatched cycles).
+        been advanced and the return value is the region's idle-cycle
+        count (skipped span minus cycles that held arrivals).
 
         This wrapper keeps the per-iteration cost bounded on runs the
         engine cannot help: configs with no regulated stream port
@@ -171,8 +170,8 @@ class FastForwardEngine:
         if not self._capable:
             return None
         if next_time <= self.sim._now:
-            # Mid-cycle re-peek (chunked batch drain): never enter,
-            # and never count against the decline streak.
+            # Mid-cycle re-peek (a run resumed inside a cycle): never
+            # enter, and never count against the decline streak.
             return None
         if self._skip:
             self._skip -= 1
@@ -350,8 +349,8 @@ class FastForwardEngine:
         self.regions += 1
         self.cycles_skipped += t_last - now_before
         self.arrivals_emitted += total
-        # What the batched loop's idle accounting would have summed:
-        # the advanced span minus the cycles that dispatched something.
+        # Idle cycles of the region: the advanced span minus the
+        # cycles that held an arrival.
         return (t_last - now_before) - arrival_cycles
 
     # ------------------------------------------------------------------

@@ -4,7 +4,6 @@ import pytest
 
 from repro.checks.sanitize import SanitizingQueue, sanitize_enabled
 from repro.errors import SanitizerError
-from repro.sim.calendar import CalendarQueue
 from repro.sim.event import Event, EventQueue
 from repro.sim.kernel import Simulator
 
@@ -13,10 +12,7 @@ def noop():
     pass
 
 
-BACKENDS = [EventQueue, CalendarQueue]
-
-
-@pytest.fixture(params=BACKENDS, ids=["heap", "calendar"])
+@pytest.fixture(params=[EventQueue], ids=["heap"])
 def queue(request):
     return SanitizingQueue(request.param())
 
@@ -112,20 +108,24 @@ class TestInjectedViolations:
         with pytest.raises(SanitizerError, match="live_foreground"):
             queue.audit()
 
-    def test_calendar_occupancy_corruption_detected(self):
-        queue = SanitizingQueue(CalendarQueue())
-        queue.push(5, 0, noop)
-        queue.inner._ring_count += 1
-        with pytest.raises(SanitizerError, match="ring_count"):
+    def test_heap_cancelled_shell_corruption_detected(self):
+        queue = SanitizingQueue(EventQueue())
+        queue.push(5, 0, noop).cancel()
+        queue.push(6, 0, noop)
+        queue.inner._cancelled_in_heap = 0
+        with pytest.raises(SanitizerError, match="cancelled_pending"):
             queue.audit()
 
-    def test_calendar_occupancy_bit_corruption_detected(self):
-        queue = SanitizingQueue(CalendarQueue())
-        event = queue.push(5, 0, noop)
-        index = event.time & (len(queue.inner._ring) - 1)
-        queue.inner._occupied &= ~(1 << index)
-        with pytest.raises(SanitizerError, match="occupancy bit"):
-            queue.audit()
+    def test_audit_prunes_compacted_provenance(self):
+        queue = SanitizingQueue(EventQueue())
+        events = [queue.push(t, 0, noop) for t in range(100)]
+        for event in events[:80]:
+            event.cancel()  # majority cancelled: the heap compacts
+        assert len(queue) < 100
+        queue.audit()
+        # Provenance of shells dropped by compaction is pruned; what
+        # stays tracked is exactly the heap's contents.
+        assert len(queue._resident) == len(queue)
 
 
 class _BrokenQueue:

@@ -2,8 +2,8 @@
 
 The headline guarantee of the probe plane: attaching a sampler (or a
 publisher-driven sampler inside :func:`repro.runner.execute_spec`)
-leaves every reported result **byte-identical**, on both scheduler
-backends.
+leaves every reported result **byte-identical**, whichever event
+queue the kernel dispatches from.
 """
 
 import pytest
@@ -19,6 +19,7 @@ from repro.probes.sampler import (
 from repro.runner import RunSpec, execute_spec
 from repro.soc.platform import Platform
 from repro.soc.presets import zcu102
+from tests.sim.reference_queue import QUEUES, use_queue
 
 
 @pytest.fixture
@@ -118,8 +119,7 @@ class TestSampling:
         assert elapsed < 5_000_000
 
 
-def _summary_json(seed, scheduler, attach, monkeypatch):
-    monkeypatch.setenv("REPRO_SCHED", scheduler)
+def _summary_json(seed, attach):
     spec = RunSpec(
         config=zcu102(num_accels=2, cpu_work=300, seed=seed),
         max_cycles=200_000,
@@ -139,23 +139,24 @@ def _summary_json(seed, scheduler, attach, monkeypatch):
     return execute_spec(spec).to_json()
 
 
-@pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+@pytest.mark.parametrize("scheduler", sorted(QUEUES))
 class TestBitIdentity:
     def test_publisher_sampler_leaves_results_byte_identical(
         self, scheduler, monkeypatch
     ):
         """execute_spec with the probe plane active (publisher set -->
         sampler attached, frames streamed) returns the same serialized
-        summary as a bare run, on each scheduler backend."""
+        summary as a bare run, on each queue."""
+        use_queue(monkeypatch, scheduler)
         monkeypatch.setenv("REPRO_PROBE_PERIOD", "512")
-        bare = _summary_json(3, scheduler, attach=False, monkeypatch=monkeypatch)
-        probed = _summary_json(3, scheduler, attach=True, monkeypatch=monkeypatch)
+        bare = _summary_json(3, attach=False)
+        probed = _summary_json(3, attach=True)
         assert bare == probed
 
     def test_direct_sampler_leaves_platform_results_identical(
         self, scheduler, monkeypatch
     ):
-        monkeypatch.setenv("REPRO_SCHED", scheduler)
+        use_queue(monkeypatch, scheduler)
 
         def run(attach):
             platform = Platform(zcu102(num_accels=1, cpu_work=200, seed=7))

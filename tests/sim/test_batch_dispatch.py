@@ -1,37 +1,31 @@
-"""Differential tests: batched dispatch against the per-event oracle.
+"""Same-cycle batch dispatch: both dispatch loops, on both queues.
 
-``REPRO_BATCH`` selects between two dispatch loops that are
-contractually bit-identical: the batched loop (one ``pop_cycle_batch``
-round-trip per cycle chunk, analytic idle-cycle skipping) and the
-per-event reference loop (one pop per event).  These tests drive both
-loops -- on both scheduler backends, with and without the kernel
-sanitizer -- with the same randomized programs and compare full
-dispatch journals exactly, plus targeted regressions for every way a
-batch can be interrupted: same-cycle pushes that sort into the
-undispatched tail (the dirty guard), mid-batch sibling cancels,
-self-cancels, daemons, stop requests, bounded runs, and cycles denser
-than one drain chunk.
+Events that share a cycle form a batch: :meth:`Simulator.run` pops
+the first one with a full ``pop`` and drains the rest of the cycle
+through the queue's ``pop_if_at`` fast path; the profiled twin
+(``_run_profiled``, selected when a :class:`PhaseProfiler` is
+attached) repeats that loop with timing brackets.  The two loops are
+contractually bit-identical, and neither may order a batch differently
+from the naive :class:`ReferenceQueue`.  These tests drive every
+(queue, loop) pair -- and the sanitizer-wrapped heap -- with the same
+randomized programs and compare full dispatch journals exactly, plus
+targeted regressions for same-cycle pushes that must sort into the
+undispatched rest of the batch.
 """
 
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-import repro.sim.kernel as kernel_mod
-from repro.sim.calendar import _BUCKETS, CalendarQueue
-from repro.sim.event import EventQueue
-from repro.sim.kernel import (
-    AUTO_BATCH,
-    AUTO_PROMOTE_THRESHOLD,
-    BATCH_CHUNK,
-    Phase,
-    Simulator,
-    resolve_batch,
-)
+from repro.sim.kernel import Phase, Simulator
+from repro.telemetry.profiler import PhaseProfiler
+from tests.sim.reference_queue import ReferenceQueue
 
-BACKENDS = ("heap", "calendar")
+#: Queue implementations the simulator is driven on.
+BACKENDS = ("heap", "reference")
+
+#: Span of the "far future" delays in the randomized programs.
+_FAR = 1024
 
 PRIORITIES = (
     Phase.REGULATOR,
@@ -44,16 +38,24 @@ PRIORITIES = (
 )
 
 
-def _run_program(scheduler, batch, seed, until=None, stop_after=None):
+def _simulator(scheduler, profiled):
+    sim = Simulator()
+    if scheduler == "reference":
+        sim._queue = ReferenceQueue()
+    if profiled:
+        PhaseProfiler().attach(sim)
+    return sim
+
+
+def _run_program(scheduler, profiled, seed, until=None, stop_after=None):
     """Drive a randomized cascading workload; return its journal.
 
     The workload mixes same-cycle pushes at arbitrary phases (which
-    may sort before, into, or after the in-flight batch), future
-    pushes across bucket-wrap distances, retained-handle cancels,
-    same-cycle cancel-after-push, daemons, and an optional mid-run
-    stop -- every interruption path of the batched loop.
+    may sort before, into, or after the rest of the in-flight batch),
+    future pushes, retained-handle cancels, same-cycle
+    cancel-after-push, daemons, and an optional mid-run stop.
     """
-    sim = Simulator(scheduler=scheduler, batch=batch)
+    sim = _simulator(scheduler, profiled)
     rng = random.Random(seed)
     journal = []
     retained = []
@@ -70,13 +72,13 @@ def _run_program(scheduler, batch, seed, until=None, stop_after=None):
         r = rng.random()
         if r < 0.40:
             # Same-cycle push at a random phase: sorts anywhere
-            # relative to the batch's undispatched tail.
+            # relative to the batch's undispatched rest.
             sim.schedule(
                 0, lambda: work(tag + 1), priority=rng.choice(PRIORITIES)
             )
         if rng.random() < 0.55:
             sim.schedule(
-                rng.choice((1, 2, 3, rng.randrange(1, 2 * _BUCKETS))),
+                rng.choice((1, 2, 3, rng.randrange(1, 2 * _FAR))),
                 lambda: work(tag + 100),
                 priority=rng.choice(PRIORITIES),
             )
@@ -91,8 +93,8 @@ def _run_program(scheduler, batch, seed, until=None, stop_after=None):
         if retained and rng.random() < 0.35:
             retained.pop(rng.randrange(len(retained))).cancel()
         if rng.random() < 0.10:
-            # Push-then-cancel inside one cycle: the shell must be
-            # purged identically on both dispatch paths.
+            # Push-then-cancel inside one cycle: the shell must never
+            # fire.
             ev = sim.schedule(0, lambda: journal.append("never"), priority=90)
             ev.cancel()
 
@@ -104,8 +106,8 @@ def _run_program(scheduler, batch, seed, until=None, stop_after=None):
     )
     if until is not None:
         sim.run(until=until)
-        # live_foreground, not pending_events: cancelled shells are
-        # purged at different (legal) moments by the two loops.
+        # live_foreground, not pending_events: the reference queue
+        # drops cancelled shells eagerly, the heap lazily.
         journal.append(("bound", sim.now, sim._queue.live_foreground))
     sim.run()
     journal.append(("end", sim.now, sim.events_dispatched))
@@ -115,19 +117,19 @@ def _run_program(scheduler, batch, seed, until=None, stop_after=None):
 @pytest.mark.parametrize("scheduler", BACKENDS)
 @pytest.mark.parametrize("seed", range(8))
 def test_randomized_programs_bit_identical(scheduler, seed):
-    batched = _run_program(scheduler, True, seed)
-    per_event = _run_program(scheduler, False, seed)
-    assert batched == per_event
+    profiled = _run_program(scheduler, True, seed)
+    plain = _run_program(scheduler, False, seed)
+    assert profiled == plain
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_randomized_programs_identical_across_backends(seed):
     journals = {
-        (sched, batch): _run_program(sched, batch, seed)
+        (sched, profiled): _run_program(sched, profiled, seed)
         for sched in BACKENDS
-        for batch in (True, False)
+        for profiled in (True, False)
     }
-    reference = journals[("heap", False)]
+    reference = journals[("reference", False)]
     for key, journal in journals.items():
         assert journal == reference, key
 
@@ -135,10 +137,12 @@ def test_randomized_programs_identical_across_backends(seed):
 @pytest.mark.parametrize("scheduler", BACKENDS)
 @pytest.mark.parametrize("seed", range(4))
 def test_randomized_programs_with_sanitizer(scheduler, seed, monkeypatch):
+    """The sanitizer wraps the kernel's heap; its journal must match
+    an unsanitized run on each queue."""
     monkeypatch.setenv("REPRO_SANITIZE", "1")
-    batched = _run_program(scheduler, True, seed)
-    per_event = _run_program(scheduler, False, seed)
-    assert batched == per_event
+    sanitized = _run_program("heap", False, seed)
+    monkeypatch.delenv("REPRO_SANITIZE")
+    assert sanitized == _run_program(scheduler, False, seed)
 
 
 @pytest.mark.parametrize("scheduler", BACKENDS)
@@ -152,29 +156,16 @@ def test_bounded_and_stopped_runs_bit_identical(scheduler, seed):
     )
 
 
-@pytest.mark.parametrize("scheduler", BACKENDS)
-@pytest.mark.parametrize("seed", range(4))
-def test_chunked_cycles_bit_identical(scheduler, seed, monkeypatch):
-    """A tiny drain chunk forces every dense cycle through the
-    chunked partial-drain path (requeue-free mid-cycle re-batching)."""
-    monkeypatch.setattr(kernel_mod, "BATCH_CHUNK", 3)
-    batched = _run_program(scheduler, True, seed)
-    monkeypatch.setattr(kernel_mod, "BATCH_CHUNK", BATCH_CHUNK)
-    assert batched == _run_program(scheduler, False, seed)
-
-
 class TestDirtyGuard:
-    """Same-cycle pushes that must interleave into the batch tail."""
+    """Same-cycle pushes that must interleave into the batch's rest."""
 
     @pytest.mark.parametrize("scheduler", BACKENDS)
     def test_push_into_middle_of_tail(self, scheduler):
         # During the priority-0 callback, push priority 20 while the
-        # undispatched tail is [10, 30]: the push sorts *between* the
-        # remaining entries, so the batch must go dirty even though
-        # the next entry (10) dispatches first.  (Regression: a guard
-        # comparing only against the next entry misses this.)
-        def drive(batch):
-            sim = Simulator(scheduler=scheduler, batch=batch)
+        # undispatched rest is [10, 30]: the push sorts *between* the
+        # remaining entries.
+        def drive(profiled):
+            sim = _simulator(scheduler, profiled)
             order = []
 
             def pusher():
@@ -191,8 +182,8 @@ class TestDirtyGuard:
 
     @pytest.mark.parametrize("scheduler", BACKENDS)
     def test_push_before_whole_tail(self, scheduler):
-        def drive(batch):
-            sim = Simulator(scheduler=scheduler, batch=batch)
+        def drive(profiled):
+            sim = _simulator(scheduler, profiled)
             order = []
 
             def pusher():
@@ -210,10 +201,9 @@ class TestDirtyGuard:
     @pytest.mark.parametrize("scheduler", BACKENDS)
     def test_push_after_tail_is_not_dirty_but_still_fires(self, scheduler):
         # Equal/higher priority sorts after every remaining entry (new
-        # seq): no fallback needed, but the event still fires within
-        # the same cycle, after the batch.
-        def drive(batch):
-            sim = Simulator(scheduler=scheduler, batch=batch)
+        # seq), but the event still fires within the same cycle.
+        def drive(profiled):
+            sim = _simulator(scheduler, profiled)
             order = []
 
             def pusher():
@@ -226,393 +216,3 @@ class TestDirtyGuard:
             return order, sim.now
 
         assert drive(True) == drive(False) == (["a", "b", "late"], 7)
-
-
-class TestMidBatchCancel:
-    @pytest.mark.parametrize("scheduler", BACKENDS)
-    def test_sibling_cancel_on_clean_queue(self, scheduler):
-        # No daemons, no prior cancels: the calendar backend takes its
-        # bulk fast path, so the cancel routes through the batch sink.
-        def drive(batch):
-            sim = Simulator(scheduler=scheduler, batch=batch)
-            order = []
-            victims = {}
-
-            def canceller():
-                order.append("c")
-                victims["v"].cancel()
-
-            sim.schedule_at(4, canceller, priority=0)
-            sim.schedule_at(4, lambda: order.append("mid"), priority=10)
-            victims["v"] = sim.schedule_at(
-                4, lambda: order.append("victim"), priority=30
-            )
-            sim.run()
-            return order, sim.events_dispatched
-
-        assert drive(True) == drive(False) == (["c", "mid"], 2)
-
-    @pytest.mark.parametrize("scheduler", BACKENDS)
-    def test_self_cancel_is_noop(self, scheduler):
-        def drive(batch):
-            sim = Simulator(scheduler=scheduler, batch=batch)
-            order = []
-            handle = {}
-
-            def selfish():
-                order.append("s")
-                handle["me"].cancel()
-
-            handle["me"] = sim.schedule_at(2, selfish, priority=0)
-            sim.schedule_at(2, lambda: order.append("after"), priority=10)
-            sim.schedule_at(6, lambda: order.append("later"))
-            sim.run()
-            return order, sim.now
-
-        assert drive(True) == drive(False) == (["s", "after", "later"], 6)
-
-    @pytest.mark.parametrize("scheduler", BACKENDS)
-    def test_cancel_last_foreground_ends_run_before_daemon(self, scheduler):
-        # A callback cancels the only other foreground event while a
-        # same-cycle daemon waits behind it: with no live foreground
-        # work left, the daemon must not fire (per-event semantics).
-        def drive(batch):
-            sim = Simulator(scheduler=scheduler, batch=batch)
-            order = []
-            victims = {}
-
-            def canceller():
-                order.append("c")
-                victims["v"].cancel()
-
-            sim.schedule_at(3, canceller, priority=0)
-            victims["v"] = sim.schedule_at(
-                3, lambda: order.append("victim"), priority=20
-            )
-            sim.schedule_at(
-                3, lambda: order.append("daemon"), priority=50, daemon=True
-            )
-            sim.run()
-            return order
-
-        assert drive(True) == drive(False) == ["c"]
-
-
-class TestIdleSkipAccounting:
-    @pytest.mark.parametrize("scheduler", BACKENDS)
-    def test_gaps_are_counted(self, scheduler):
-        sim = Simulator(scheduler=scheduler, batch=True)
-        for t in (5, 6, 20):
-            sim.schedule_at(t, lambda: None)
-        sim.run()
-        # 0->5 skips 1..4 (4 cycles); 6->20 skips 7..19 (13 cycles).
-        assert sim.idle_cycles_skipped == 17
-        assert sim.kernel_stats()["idle_cycles_skipped"] == 17
-
-    @pytest.mark.parametrize("scheduler", BACKENDS)
-    def test_per_event_mode_reports_zero(self, scheduler):
-        sim = Simulator(scheduler=scheduler, batch=False)
-        sim.schedule_at(50, lambda: None)
-        sim.run()
-        assert sim.idle_cycles_skipped == 0
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        times=st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=3 * _BUCKETS),
-                st.sampled_from(PRIORITIES),
-            ),
-            min_size=1,
-            max_size=40,
-        ),
-        scheduler=st.sampled_from(BACKENDS),
-    )
-    def test_idle_skip_never_skips_an_event(self, times, scheduler):
-        """Property: every scheduled event fires at exactly its cycle,
-        ``now`` is monotonic, and the skip count equals the sum of the
-        gaps between consecutive dispatched cycles."""
-        sim = Simulator(scheduler=scheduler, batch=True)
-        fired = []
-        for t, priority in times:
-            sim.schedule_at(
-                t, lambda t=t: fired.append((sim.now, t)), priority=priority
-            )
-        sim.run()
-        assert len(fired) == len(times)
-        assert all(now == t for now, t in fired)
-        nows = [now for now, _ in fired]
-        assert nows == sorted(nows)
-        expected = 0
-        previous = 0
-        for t in sorted({t for t, _ in times}):
-            expected += max(0, t - previous - 1)
-            previous = t
-        assert sim.idle_cycles_skipped == expected
-
-
-class TestAutoScheduler:
-    def test_tiny_run_stays_on_heap(self):
-        sim = Simulator(scheduler="auto", batch=True)
-        fired = []
-        for i in range(32):
-            sim.schedule(1 + i % 5, lambda: fired.append(sim.now))
-        sim.run()
-        assert len(fired) == 32
-        assert sim.backend == "heap"
-        assert sim.auto_promotions == 0
-
-    def test_stress_population_promotes_once(self):
-        sim = Simulator(scheduler="auto", batch=True)
-        count = [0]
-        for i in range(AUTO_PROMOTE_THRESHOLD + 64):
-            sim.schedule(1 + (i % 7), lambda: count.__setitem__(0, count[0] + 1))
-        sim.run()
-        assert count[0] == AUTO_PROMOTE_THRESHOLD + 64
-        assert sim.backend == "calendar"
-        assert sim.auto_promotions == 1
-        stats = sim.kernel_stats()
-        assert stats["scheduler"] == "auto"
-        assert stats["auto_promotions"] == 1
-
-    @pytest.mark.parametrize("batch", (True, False))
-    def test_promoting_run_matches_static_backends(self, batch):
-        """A workload that crosses the promotion threshold mid-run
-        must journal identically under auto, heap, and calendar."""
-
-        def drive(scheduler):
-            sim = Simulator(scheduler=scheduler, batch=batch)
-            rng = random.Random(99)
-            journal = []
-
-            def ramp():
-                journal.append((sim.now, "ramp"))
-                for i in range(AUTO_PROMOTE_THRESHOLD + 256):
-                    delay = 1 + rng.randrange(40)
-                    sim.schedule(
-                        delay,
-                        lambda d=delay: journal.append((sim.now, d)),
-                        priority=rng.choice(PRIORITIES),
-                    )
-
-            sim.schedule(1, ramp)
-            sim.run()
-            journal.append(("end", sim.now, sim.events_dispatched))
-            return journal
-
-        auto = drive("auto")
-        assert auto == drive("heap") == drive("calendar")
-
-    def test_promotion_preserves_daemon_accounting(self):
-        """Daemons transplanted by from_heap must keep the calendar's
-        live-daemon gate exact (the bulk fast path depends on it)."""
-        sim = Simulator(scheduler="auto", batch=True)
-        ticks = []
-
-        def tick():
-            ticks.append(sim.now)
-            if len(ticks) < 50:
-                sim.schedule(5, tick, daemon=True)
-
-        sim.schedule(2, tick, daemon=True)
-        fired = [0]
-        for i in range(AUTO_PROMOTE_THRESHOLD + 16):
-            sim.schedule(1 + (i % 30), lambda: fired.__setitem__(0, fired[0] + 1))
-        sim.run()
-        assert sim.backend == "calendar"
-        assert fired[0] == AUTO_PROMOTE_THRESHOLD + 16
-        queue = getattr(sim._queue, "inner", sim._queue)
-        assert isinstance(queue, CalendarQueue)
-        assert queue._live_daemons >= 0
-
-
-class TestResolveBatch:
-    def test_default_is_auto(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
-        assert resolve_batch(None) is AUTO_BATCH
-
-    @pytest.mark.parametrize(
-        "value", ["0", "off", "no", "false", "event", "per-event"]
-    )
-    def test_off_values(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_BATCH", value)
-        assert resolve_batch(None) is False
-
-    @pytest.mark.parametrize("value", ["1", "on", "batch"])
-    def test_on_values(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_BATCH", value)
-        assert resolve_batch(None) is True
-
-    def test_explicit_auto_value(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "auto")
-        assert resolve_batch(None) is AUTO_BATCH
-
-    def test_argument_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BATCH", "1")
-        assert resolve_batch(False) is False
-        monkeypatch.setenv("REPRO_BATCH", "0")
-        assert resolve_batch(True) is True
-        assert resolve_batch(AUTO_BATCH) is AUTO_BATCH
-
-
-class TestAutoBatch:
-    """Population-aware dispatch-mode promotion (``REPRO_BATCH=auto``).
-
-    Mirrors ``TestAutoScheduler``: tiny populations stay on the
-    per-event loop (schema-4 bench rows showed batching costs 13-21%
-    there), large populations promote to the batched loop once, and a
-    promoting run journals identically to both static modes.
-    """
-
-    def test_tiny_run_stays_per_event(self):
-        sim = Simulator(batch=AUTO_BATCH)
-        fired = []
-        for i in range(64):
-            sim.schedule(1 + i % 5, lambda: fired.append(sim.now))
-        sim.run()
-        assert len(fired) == 64
-        assert sim.batch_mode == "auto"
-        assert sim.batched is False
-        assert sim.batch_promotions == 0
-        assert sim.kernel_stats()["batch_policy"] == "auto"
-
-    def test_stress_population_promotes_once(self):
-        sim = Simulator(batch=AUTO_BATCH)
-        count = [0]
-        for i in range(AUTO_PROMOTE_THRESHOLD + 64):
-            sim.schedule(1 + (i % 7), lambda: count.__setitem__(0, count[0] + 1))
-        sim.run()
-        assert count[0] == AUTO_PROMOTE_THRESHOLD + 64
-        assert sim.batched is True
-        assert sim.batch_promotions == 1
-        assert sim.kernel_stats()["batch_promotions"] == 1
-
-    def test_promotion_runs_finalizers_once(self):
-        sim = Simulator(batch=AUTO_BATCH)
-        finals = []
-        sim.add_finalizer(lambda now: finals.append(now))
-        for i in range(AUTO_PROMOTE_THRESHOLD + 8):
-            sim.schedule(1 + (i % 3), lambda: None)
-        sim.run()
-        assert sim.batch_promotions == 1
-        assert len(finals) == 1
-
-    @pytest.mark.parametrize("scheduler", BACKENDS)
-    @pytest.mark.parametrize("seed", range(4))
-    def test_auto_matches_static_modes(self, scheduler, seed):
-        auto = _run_program(scheduler, AUTO_BATCH, seed)
-        assert auto == _run_program(scheduler, True, seed)
-        assert auto == _run_program(scheduler, False, seed)
-
-    def test_promoting_run_matches_static_modes(self):
-        """A workload crossing the threshold mid-run must journal
-        identically under auto, batched, and per-event dispatch."""
-
-        def drive(batch):
-            sim = Simulator(batch=batch)
-            rng = random.Random(42)
-            journal = []
-
-            def ramp():
-                journal.append((sim.now, "ramp"))
-                for _ in range(AUTO_PROMOTE_THRESHOLD + 256):
-                    delay = 1 + rng.randrange(40)
-                    sim.schedule(
-                        delay,
-                        lambda d=delay: journal.append((sim.now, d)),
-                        priority=rng.choice(PRIORITIES),
-                    )
-
-            sim.schedule(1, ramp)
-            sim.run()
-            journal.append(("end", sim.now, sim.events_dispatched))
-            return journal, sim.batch_promotions
-
-        auto, promotions = drive(AUTO_BATCH)
-        assert promotions == 1
-        assert auto == drive(True)[0] == drive(False)[0]
-
-    def test_promoting_bounded_run_respects_until(self):
-        sim = Simulator(batch=AUTO_BATCH)
-        fired = []
-        for i in range(AUTO_PROMOTE_THRESHOLD + 32):
-            sim.schedule(1 + (i % 50), lambda: fired.append(sim.now))
-        sim.run(until=10)
-        assert sim.batch_promotions == 1
-        assert sim.now == 10
-        assert all(t <= 10 for t in fired)
-        sim.run()
-        assert len(fired) == AUTO_PROMOTE_THRESHOLD + 32
-
-    def test_auto_composes_with_auto_scheduler(self):
-        sim = Simulator(scheduler="auto", batch=AUTO_BATCH)
-        count = [0]
-        for i in range(AUTO_PROMOTE_THRESHOLD + 64):
-            sim.schedule(1 + (i % 9), lambda: count.__setitem__(0, count[0] + 1))
-        sim.run()
-        assert count[0] == AUTO_PROMOTE_THRESHOLD + 64
-        assert sim.backend == "calendar"
-        assert sim.batched is True
-        assert sim.auto_promotions == 1
-        assert sim.batch_promotions == 1
-
-
-class TestChunkedQueueDrain:
-    """pop_cycle_batch(limit=...) at the queue level."""
-
-    @pytest.mark.parametrize("queue_cls", (EventQueue, CalendarQueue))
-    def test_chunks_concatenate_to_full_drain(self, queue_cls):
-        rng = random.Random(7)
-        full, chunked = queue_cls(), queue_cls()
-        for _ in range(40):
-            priority = rng.randrange(8)
-            full.push(3, priority, None)
-            chunked.push(3, priority, None)
-
-        out_full = []
-        fg_full = full.pop_cycle_batch(3, out_full, None)
-        out_chunks = []
-        fg_chunks = 0
-        while True:
-            before = len(out_chunks)
-            fg_chunks += chunked.pop_cycle_batch(3, out_chunks, None, 7)
-            if len(out_chunks) == before:
-                break
-        assert fg_full == fg_chunks == 40
-        assert [(e[-3], e[-1] is not None) for e in out_full] == [
-            (e[-3], e[-1] is not None) for e in out_chunks
-        ]
-        priorities = [e[-3] for e in out_chunks]
-        assert priorities == sorted(priorities)
-        assert chunked.live_foreground == 0
-
-    @pytest.mark.parametrize("queue_cls", (EventQueue, CalendarQueue))
-    def test_partial_drain_leaves_remainder_poppable(self, queue_cls):
-        queue = queue_cls()
-        for priority in (5, 1, 3, 9, 7):
-            queue.push(10, priority, None)
-        out = []
-        fg = queue.pop_cycle_batch(10, out, None, 2)
-        assert fg == 2
-        assert [e[-3] for e in out] == [1, 3]
-        assert queue.peek_time() == 10
-        assert [queue.pop().priority for _ in range(3)] == [5, 7, 9]
-
-    def test_calendar_daemon_purge_on_chunked_slow_path(self):
-        queue = CalendarQueue()
-        for priority in (1, 2, 3, 4):
-            queue.push(6, priority, None)
-        queue.push(6, 5, None, daemon=True)
-        cancelled = queue.push(6, 0, None)
-        cancelled.cancel()
-        out = []
-        total_fg = 0
-        while True:
-            before = len(out)
-            total_fg += queue.pop_cycle_batch(6, out, None, 2)
-            if len(out) == before:
-                break
-        assert total_fg == 4
-        assert len(out) == 5  # 4 foreground + 1 daemon; shell purged
-        assert queue._live_daemons == 0
-        assert queue.live_foreground == 0

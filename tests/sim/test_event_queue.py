@@ -1,10 +1,7 @@
-"""Unit tests for the event-queue protocol, run against both backends.
+"""Unit tests for the event queue (:class:`EventQueue`, a binary heap).
 
-Every test is parametrized over the two scheduler implementations --
-the reference binary heap (:class:`EventQueue`) and the production
-calendar queue (:class:`CalendarQueue`) -- because the kernel treats
-them as interchangeable: any behavioural split between them is a bug
-regardless of which side is "right".
+Tests build their queue through the ``make_queue`` fixture, whose
+parameter ids name the queue implementation under test.
 """
 
 import pytest
@@ -12,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SimulationError
-from repro.sim.calendar import CalendarQueue
 from repro.sim.event import _COMPACT_MIN_HEAP, Event, EventQueue
 
-BACKENDS = {"heap": EventQueue, "calendar": CalendarQueue}
+BACKENDS = {"heap": EventQueue}
 
 
 @pytest.fixture(params=sorted(BACKENDS), name="make_queue")

@@ -1,11 +1,9 @@
 """Differential tests for the steady-state fast-forward engine.
 
-The engine's contract is the same as the scheduler/dispatch knobs':
-byte-identical result tables whether or not it runs.  These tests
-drive regulation-bound open-loop scenarios (the engine's target
-shape) and irregular scenarios (where it must decline) across both
-scheduler backends and both dispatch modes, and compare full run
-summaries exactly -- no tolerances.  A separate engagement test
+The engine's contract is byte-identical result tables whether or not
+it runs.  These tests drive regulation-bound open-loop scenarios (the
+engine's target shape) and irregular scenarios (where it must
+decline), and compare full run summaries exactly -- no tolerances.  A separate engagement test
 guards against the detector declining everything, which would make
 the identity assertions vacuous.
 """
@@ -19,6 +17,7 @@ from repro.sim.kernel import Simulator, resolve_fastforward
 from benchmarks.common import memguard_spec, tc_spec
 from repro.soc.experiment import PlatformResult
 from repro.soc.platform import MasterSpec, Platform, PlatformConfig
+from tests.sim.reference_queue import QUEUES, use_queue
 
 #: Short but multi-window horizon: dozens of refill boundaries, a few
 #: DRAM refresh daemon ticks, thousands of arrivals.
@@ -46,11 +45,8 @@ def steady_config(num_streams=1, regulator=None, seed=3):
     return PlatformConfig(masters=masters, seed=seed)
 
 
-def run_table(config, monkeypatch, scheduler, batch, fastforward,
-              horizon=HORIZON):
+def run_table(config, monkeypatch, fastforward, horizon=HORIZON):
     """One full run -> (summary json, kernel stats)."""
-    monkeypatch.setenv("REPRO_SCHED", scheduler)
-    monkeypatch.setenv("REPRO_BATCH", batch)
     monkeypatch.setenv("REPRO_FASTFORWARD", "1" if fastforward else "0")
     platform = Platform(config)
     elapsed = platform.run(horizon, stop_when_critical_done=False)
@@ -94,12 +90,8 @@ class TestEngagement:
     def test_macro_steps_the_steady_region(self, monkeypatch):
         """The detector must actually fire on the target shape -- and
         replace the bulk of the event traffic with walked arrivals."""
-        _table, stats = run_table(
-            steady_config(), monkeypatch, "heap", "1", fastforward=True
-        )
-        _ref, ref_stats = run_table(
-            steady_config(), monkeypatch, "heap", "1", fastforward=False
-        )
+        _table, stats = run_table(steady_config(), monkeypatch, fastforward=True)
+        _ref, ref_stats = run_table(steady_config(), monkeypatch, fastforward=False)
         assert stats["ff_regions"] > 10
         assert stats["ff_arrivals"] > 1000
         assert stats["ff_cycles_skipped"] > HORIZON // 2
@@ -125,34 +117,23 @@ class TestEngagement:
                 ),
             )
         )
-        _table, stats = run_table(
-            config, monkeypatch, "heap", "1", fastforward=True, horizon=5_000
-        )
+        _table, stats = run_table(config, monkeypatch, fastforward=True, horizon=5_000)
         assert stats["ff_regions"] == 0
 
 
 class TestByteIdentity:
-    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
-    @pytest.mark.parametrize("batch", ["1", "0"])
-    def test_steady_single_stream(self, monkeypatch, scheduler, batch):
-        off, _ = run_table(
-            steady_config(), monkeypatch, scheduler, batch, fastforward=False
-        )
-        on, stats = run_table(
-            steady_config(), monkeypatch, scheduler, batch, fastforward=True
-        )
+    def test_steady_single_stream(self, monkeypatch):
+        off, _ = run_table(steady_config(), monkeypatch, fastforward=False)
+        on, stats = run_table(steady_config(), monkeypatch, fastforward=True)
         assert stats["ff_regions"] > 0  # identity must not be vacuous
         assert on == off
 
-    @pytest.mark.parametrize("scheduler", ["heap", "calendar"])
+    @pytest.mark.parametrize("scheduler", sorted(QUEUES))
     def test_steady_multi_stream(self, monkeypatch, scheduler):
+        use_queue(monkeypatch, scheduler)
         config = steady_config(num_streams=3)
-        off, _ = run_table(
-            config, monkeypatch, scheduler, "1", fastforward=False
-        )
-        on, stats = run_table(
-            config, monkeypatch, scheduler, "1", fastforward=True
-        )
+        off, _ = run_table(config, monkeypatch, fastforward=False)
+        on, stats = run_table(config, monkeypatch, fastforward=True)
         assert stats["ff_regions"] > 0
         assert on == off
 
@@ -160,12 +141,8 @@ class TestByteIdentity:
         config = steady_config(
             regulator=memguard_spec(0.01, period_cycles=2048)
         )
-        off, _ = run_table(
-            config, monkeypatch, "heap", "1", fastforward=False
-        )
-        on, stats = run_table(
-            config, monkeypatch, "heap", "1", fastforward=True
-        )
+        off, _ = run_table(config, monkeypatch, fastforward=False)
+        on, stats = run_table(config, monkeypatch, fastforward=True)
         assert stats["ff_regions"] > 0
         assert on == off
 
@@ -191,8 +168,8 @@ class TestByteIdentity:
             ),
             seed=5,
         )
-        off, _ = run_table(config, monkeypatch, "heap", "1", fastforward=False)
-        on, _ = run_table(config, monkeypatch, "heap", "1", fastforward=True)
+        off, _ = run_table(config, monkeypatch, fastforward=False)
+        on, _ = run_table(config, monkeypatch, fastforward=True)
         assert on == off
 
     def test_bounded_stream_work(self, monkeypatch):
@@ -201,8 +178,8 @@ class TestByteIdentity:
         config = steady_config()
         # work is bytes for accel workloads: 600 requests.
         config = config.with_masters([replace(config.masters[0], work=600 * 64)])
-        off, _ = run_table(config, monkeypatch, "heap", "1", fastforward=False)
-        on, _ = run_table(config, monkeypatch, "heap", "1", fastforward=True)
+        off, _ = run_table(config, monkeypatch, fastforward=False)
+        on, _ = run_table(config, monkeypatch, fastforward=True)
         assert on == off
 
 
@@ -210,11 +187,11 @@ class TestKernelStatsSurface:
     def test_ff_counters_only_when_attached(self):
         stats = Simulator().kernel_stats()
         assert "ff_regions" not in stats
-        assert stats["batch_policy"] == "auto"
+        assert stats["events_dispatched"] == 0
 
     def test_ff_counters_reported(self, monkeypatch):
         _table, stats = run_table(
-            steady_config(), monkeypatch, "heap", "1", fastforward=True,
+            steady_config(), monkeypatch, fastforward=True,
             horizon=5_000,
         )
         assert set(

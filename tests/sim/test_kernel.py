@@ -2,15 +2,9 @@
 
 import pytest
 
-from repro.errors import ConfigError, SimulationError
-from repro.sim.calendar import CalendarQueue
+from repro.errors import SimulationError
 from repro.sim.event import EventQueue
-from repro.sim.kernel import (
-    SCHEDULERS,
-    Phase,
-    Simulator,
-    resolve_scheduler,
-)
+from repro.sim.kernel import Phase, Simulator
 
 
 class TestScheduling:
@@ -92,6 +86,42 @@ class TestRunBounds:
         sim.run(until=50)
         assert fired == [1]
 
+    def test_until_before_now_rejected(self, sim):
+        # Regression: run(until) below the clock used to rewind ``now``,
+        # after which schedule_at() accepted times already passed.
+        sim.schedule(10, lambda: None)
+        sim.schedule(20, lambda: None)
+        assert sim.run(until=15) == 15
+        with pytest.raises(SimulationError):
+            sim.run(until=5)
+        assert sim.now == 15
+        with pytest.raises(SimulationError):
+            sim.schedule_at(7, lambda: None)
+        assert sim.run(until=15) == 15  # until == now stays legal
+        assert sim.run() == 20
+
+    def test_bounded_runs_resume_in_order(self):
+        # A cascading workload run in bounded slices dispatches exactly
+        # as one unbounded run does.
+        def drive(bounds):
+            s = Simulator()
+            journal = []
+
+            def work(tag):
+                journal.append((s.now, tag))
+                if tag < 40:
+                    s.schedule(tag % 3, lambda: work(tag + 1), priority=tag % 4)
+
+            s.schedule(1, lambda: work(0))
+            s.schedule(2, lambda: journal.append((s.now, "tick")), daemon=True)
+            for bound in bounds:
+                assert s.run(until=bound) == bound
+            s.run()
+            journal.append(("end", s.now, s.events_dispatched))
+            return journal
+
+        assert drive((3, 9, 9, 17)) == drive(())
+
 
 class TestIntraCyclePhases:
     def test_phases_order_within_cycle(self, sim):
@@ -102,6 +132,23 @@ class TestIntraCyclePhases:
         sim.schedule(5, lambda: order.append("master"), priority=Phase.MASTER)
         sim.run()
         assert order == ["reg", "master", "arb", "stats"]
+
+    def test_same_cycle_push_sorts_among_remaining_events(self, sim):
+        # A delay-0 push from a callback fires in priority order among
+        # the cycle's not-yet-dispatched events, and after equal ones.
+        order = []
+
+        def pusher():
+            order.append(0)
+            sim.schedule(0, lambda: order.append(20), priority=20)
+            sim.schedule(0, lambda: order.append("30b"), priority=30)
+
+        sim.schedule_at(5, pusher, priority=0)
+        sim.schedule_at(5, lambda: order.append(10), priority=10)
+        sim.schedule_at(5, lambda: order.append(30), priority=30)
+        sim.run()
+        assert order == [0, 10, 20, 30, "30b"]
+        assert sim.now == 5
 
 
 class TestStopAndFinalize:
@@ -134,6 +181,21 @@ class TestStopAndFinalize:
         assert sim.step() == 7
         assert sim.step() is None
 
+    def test_stop_mid_cycle_resumes_same_cycle(self, sim):
+        order = []
+
+        def stopper():
+            order.append("stop")
+            sim.request_stop()
+
+        sim.schedule_at(4, stopper, priority=0)
+        sim.schedule_at(4, lambda: order.append("rest"), priority=10)
+        sim.schedule_at(8, lambda: order.append("later"))
+        assert sim.run() == 4
+        assert order == ["stop"]
+        assert sim.run() == 8
+        assert order == ["stop", "rest", "later"]
+
     def test_run_reentry_rejected(self, sim):
         def evil():
             sim.run()
@@ -143,49 +205,62 @@ class TestStopAndFinalize:
             sim.run()
 
 
-class TestSchedulerSelection:
-    def test_default_is_auto_starting_on_heap(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SCHED", raising=False)
+class TestSameCycleCancel:
+    def test_callback_cancels_same_cycle_sibling(self, sim):
+        order = []
+        victims = {}
+
+        def canceller():
+            order.append("c")
+            victims["v"].cancel()
+
+        sim.schedule_at(4, canceller, priority=0)
+        sim.schedule_at(4, lambda: order.append("mid"), priority=10)
+        victims["v"] = sim.schedule_at(4, lambda: order.append("victim"), priority=30)
+        sim.run()
+        assert order == ["c", "mid"]
+        assert sim.events_dispatched == 2
+
+    def test_self_cancel_is_noop(self, sim):
+        order = []
+        handle = {}
+
+        def selfish():
+            order.append("s")
+            handle["me"].cancel()
+
+        handle["me"] = sim.schedule_at(2, selfish, priority=0)
+        sim.schedule_at(2, lambda: order.append("after"), priority=10)
+        sim.schedule_at(6, lambda: order.append("later"))
+        sim.run()
+        assert order == ["s", "after", "later"]
+        assert sim.now == 6
+        assert sim._queue.live_foreground == 0
+
+    def test_cancel_last_foreground_ends_run_before_daemon(self, sim):
+        # A callback cancels the only other foreground event while a
+        # same-cycle daemon waits behind it: with no live foreground
+        # work left, the daemon must not fire.
+        order = []
+        victims = {}
+
+        def canceller():
+            order.append("c")
+            victims["v"].cancel()
+
+        sim.schedule_at(3, canceller, priority=0)
+        victims["v"] = sim.schedule_at(3, lambda: order.append("victim"), priority=20)
+        sim.schedule_at(3, lambda: order.append("daemon"), priority=50, daemon=True)
+        sim.run()
+        assert order == ["c"]
+
+
+class TestQueue:
+    def test_events_live_in_the_heap(self):
         sim = Simulator()
-        assert sim.scheduler == "auto"
-        assert sim.backend == "heap"
         queue = getattr(sim._queue, "inner", sim._queue)  # unwrap sanitizer
         assert isinstance(queue, EventQueue)
 
-    def test_static_backend_never_promotes(self):
-        sim = Simulator(scheduler="calendar")
-        assert sim.backend == "calendar"
-        assert sim._auto_pending is False
-
-    def test_env_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHED", "heap")
-        sim = Simulator()
-        assert sim.scheduler == "heap"
-        queue = getattr(sim._queue, "inner", sim._queue)  # unwrap sanitizer
-        assert isinstance(queue, EventQueue)
-
-    def test_argument_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHED", "heap")
-        sim = Simulator(scheduler="calendar")
-        assert sim.scheduler == "calendar"
-        queue = getattr(sim._queue, "inner", sim._queue)  # unwrap sanitizer
-        assert isinstance(queue, CalendarQueue)
-
-    def test_names_are_normalized(self):
-        assert resolve_scheduler("  Heap ") == "heap"
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ConfigError):
-            Simulator(scheduler="splay-tree")
-
-    def test_unknown_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHED", "btree")
-        with pytest.raises(ConfigError):
-            Simulator()
-
-    def test_empty_env_falls_back_to_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHED", "")
-        assert Simulator().scheduler == "auto"
-
-    def test_registry_matches_backends(self):
-        assert SCHEDULERS == {"calendar": CalendarQueue, "heap": EventQueue}
+    def test_constructor_takes_no_options(self):
+        with pytest.raises(TypeError):
+            Simulator(scheduler="heap")  # type: ignore[call-arg]

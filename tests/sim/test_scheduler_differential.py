@@ -1,31 +1,38 @@
-"""Differential tests: the calendar queue against the reference heap.
+"""Differential tests: the kernel's heap against a naive reference queue.
 
-The two scheduler backends are contractually bit-identical: for any
-sequence of queue operations they must dispatch the same events in the
-same order, and any experiment must produce byte-identical result
-tables whichever backend runs it.  These tests drive both backends
-with the same randomized programs and full (scaled-down) experiments
-and compare outputs exactly -- no tolerances.
+:class:`EventQueue` layers lazy cancellation, compaction, an event
+free list and a same-cycle ``pop_if_at`` fast path on a binary heap.
+None of that may change dispatch order: for any sequence of queue
+operations the heap must dispatch the same events in the same order
+as :class:`ReferenceQueue` (an unsorted list scanned for the minimum),
+and any experiment must produce byte-identical result tables on
+either queue.  These tests drive both with the same randomized
+programs and full (scaled-down) experiments and compare outputs
+exactly -- no tolerances.
 """
 
 import random
 
 import pytest
 
-from repro.sim.calendar import _BUCKETS, CalendarQueue
 from repro.sim.event import EventQueue
 from repro.sim.kernel import Simulator
 
 from benchmarks.common import loaded_config, tc_spec
 from repro.soc.experiment import run_experiment
+from tests.sim.reference_queue import ReferenceQueue, use_queue
+
+#: Span of the "far future" delays in the randomized programs.
+_FAR = 1024
 
 
 def _random_program(seed, steps):
-    """A backend-agnostic op script exercising the full queue surface.
+    """A queue-agnostic op script exercising the full queue surface.
 
-    Times mix same-cycle bursts, near-future delays, far-overflow jumps
-    and (via pop-then-push-low patterns) rewinds; ops mix pushes,
-    daemon pushes, cancels of arbitrary live handles, pops and peeks.
+    Times mix same-cycle bursts, near-future delays, far jumps and
+    (via pop-then-push-low patterns) rewinds; ops mix pushes, daemon
+    pushes, cancels of arbitrary live or dispatched handles (singly
+    and in bursts), pops and peeks.
     """
     rng = random.Random(seed)
     program = []
@@ -34,11 +41,13 @@ def _random_program(seed, steps):
         if r < 0.55:
             kind = "push_daemon" if rng.random() < 0.15 else "push"
             delay = rng.choice(
-                (0, 0, 1, 2, 3, rng.randrange(64), rng.randrange(3 * _BUCKETS))
+                (0, 0, 1, 2, 3, rng.randrange(64), rng.randrange(3 * _FAR))
             )
             program.append((kind, delay, rng.randrange(8)))
-        elif r < 0.70:
+        elif r < 0.68:
             program.append(("cancel", rng.randrange(1 << 30), 0))
+        elif r < 0.70:
+            program.append(("cancel_burst", rng.randrange(1 << 30), 0))
         elif r < 0.95:
             program.append(("pop", 0, 0))
         else:
@@ -60,6 +69,12 @@ def _execute(queue, program):
         elif kind == "cancel":
             if handles:
                 handles[arg % len(handles)].cancel()
+        elif kind == "cancel_burst":
+            # Cancel most handles at once: on the heap, cancelled
+            # shells outnumber live entries and trigger compaction.
+            for i, ev in enumerate(handles):
+                if (i + arg) % 4:
+                    ev.cancel()
         elif kind == "pop":
             if queue.peek_time() is not None:
                 ev = queue.pop()
@@ -79,23 +94,21 @@ def _execute(queue, program):
 def test_randomized_programs_dispatch_identically(seed):
     program = _random_program(seed, steps=400)
     heap_trace = _execute(EventQueue(), program)
-    calendar_trace = _execute(CalendarQueue(), program)
-    assert calendar_trace == heap_trace
+    reference_trace = _execute(ReferenceQueue(), program)
+    assert heap_trace == reference_trace
 
 
 @pytest.mark.parametrize("seed", range(6))
 def test_below_cursor_pushes_dispatch_identically(seed):
-    """Rewind-heavy program: pops advance the cursor, then pushes land
+    """Rewind-heavy program: pops advance the time, then pushes land
     below it (legal for direct queue users)."""
-    rng = random.Random(1000 + seed)
-    heap, cal = EventQueue(), CalendarQueue()
     traces = [[], []]
-    for queue, trace in ((heap, traces[0]), (cal, traces[1])):
-        rng_q = random.Random(2000 + seed)  # same stream per backend
-        queue.push(5 * _BUCKETS, 0, lambda: None)
-        assert queue.peek_time() == 5 * _BUCKETS
+    for queue, trace in ((EventQueue(), traces[0]), (ReferenceQueue(), traces[1])):
+        rng_q = random.Random(2000 + seed)  # same stream per queue
+        queue.push(5 * _FAR, 0, lambda: None)
+        assert queue.peek_time() == 5 * _FAR
         for _ in range(200):
-            t = rng_q.randrange(6 * _BUCKETS)
+            t = rng_q.randrange(6 * _FAR)
             queue.push(t, rng_q.randrange(4), lambda: None)
             if rng_q.random() < 0.5 and queue.live_foreground:
                 ev = queue.pop()
@@ -110,8 +123,10 @@ def test_simulator_runs_identically_across_backends():
     """A kernel-level workload (cascading callbacks, cancels, daemons,
     bounded runs) observed through fired-event journals."""
 
-    def drive(scheduler):
-        sim = Simulator(scheduler=scheduler)
+    def drive(reference):
+        sim = Simulator()
+        if reference:
+            sim._queue = ReferenceQueue()
         journal = []
         rng = random.Random(77)
         retained = []
@@ -133,10 +148,10 @@ def test_simulator_runs_identically_across_backends():
         journal.append(("now", sim.now))
         sim.schedule(2, lambda: work(1000))
         sim.run()
-        journal.append(("end", sim.now))
+        journal.append(("end", sim.now, sim.events_dispatched))
         return journal
 
-    assert drive("calendar") == drive("heap")
+    assert drive(reference=False) == drive(reference=True)
 
 
 @pytest.mark.parametrize(
@@ -146,16 +161,18 @@ def test_experiment_tables_byte_identical(share, window, monkeypatch):
     """Reduced-scale E2/E3-style runs: the full regulated-platform
     summary (per-master bytes, latencies, violation counts -- the
     numbers the paper's tables are built from) must serialize to the
-    exact same JSON under either backend."""
+    exact same JSON on the heap and on the reference queue."""
+    monkeypatch.delenv("REPRO_SANITIZE", raising=False)
 
-    def table(scheduler):
-        monkeypatch.setenv("REPRO_SCHED", scheduler)
+    def table():
         config = loaded_config(
             num_accels=2,
             cpu_work=400,
             accel_regulator=tc_spec(share, window_cycles=window),
         )
-        result = run_experiment(config)
-        return result.summary().to_json()
+        return run_experiment(config).summary().to_json()
 
-    assert table("calendar") == table("heap")
+    heap = table()
+    use_queue(monkeypatch, "reference")
+    assert isinstance(Simulator()._queue, ReferenceQueue)
+    assert table() == heap

@@ -14,12 +14,11 @@ from scripts.check_bench_trend import find_regressions
 from scripts.check_bench_trend import main as trend_main
 
 
-def _record(heap, calendar, stamp="t"):
+def _record(heap, stamp="t"):
     return {
-        "schema": 7,
+        "schema": 8,
         "kind": "kernel_throughput",
         "heap_events_s": heap,
-        "calendar_events_s": calendar,
         "timestamp": stamp,
     }
 
@@ -27,29 +26,29 @@ def _record(heap, calendar, stamp="t"):
 class TestFindRegressions:
     def test_too_few_records(self):
         assert find_regressions([], 0.15) == ([], None, None)
-        assert find_regressions([_record(100, 200)], 0.15) == ([], None, None)
+        assert find_regressions([_record(100)], 0.15) == ([], None, None)
 
     def test_other_kinds_ignored(self):
         history = [
             {"kind": "runner_sweep"},
-            _record(100_000, 200_000),
-            {"kind": "batch_dispatch"},
+            _record(100_000),
+            {"kind": "probe_overhead"},
         ]
         assert find_regressions(history, 0.15) == ([], None, None)
 
     def test_within_threshold_passes(self):
-        history = [_record(100_000, 200_000), _record(90_000, 180_000)]
+        history = [_record(100_000), _record(90_000)]
         regressions, previous, newest = find_regressions(history, 0.15)
         assert regressions == []
         assert previous["heap_events_s"] == 100_000
         assert newest["heap_events_s"] == 90_000
 
     def test_improvement_passes(self):
-        history = [_record(100_000, 200_000), _record(150_000, 400_000)]
+        history = [_record(100_000), _record(150_000)]
         assert find_regressions(history, 0.15)[0] == []
 
-    def test_regression_detected_per_backend(self):
-        history = [_record(100_000, 200_000), _record(80_000, 195_000)]
+    def test_regression_detected(self):
+        history = [_record(100_000), _record(80_000)]
         regressions, _, _ = find_regressions(history, 0.15)
         assert [r[0] for r in regressions] == ["heap_events_s"]
         key, old, new, drop = regressions[0]
@@ -59,9 +58,9 @@ class TestFindRegressions:
     def test_newest_vs_previous_only(self):
         # An old regression that already recovered must not re-fire.
         history = [
-            _record(100_000, 200_000),
-            _record(50_000, 100_000),
-            _record(95_000, 190_000),
+            _record(100_000),
+            _record(50_000),
+            _record(95_000),
         ]
         regressions, previous, _ = find_regressions(history, 0.15)
         assert regressions == []
@@ -70,7 +69,16 @@ class TestFindRegressions:
     def test_missing_keys_tolerated(self):
         history = [
             {"kind": "kernel_throughput", "heap_events_s": 100_000},
-            {"kind": "kernel_throughput", "heap_events_s": 99_000},
+            {"kind": "kernel_throughput"},
+        ]
+        assert find_regressions(history, 0.15)[0] == []
+
+    def test_legacy_calendar_field_ignored(self):
+        # Historical records carry a calendar rate; only the heap's
+        # rate is judged.
+        history = [
+            {**_record(100_000), "calendar_events_s": 200_000},
+            {**_record(99_000), "calendar_events_s": 100_000},
         ]
         assert find_regressions(history, 0.15)[0] == []
 
@@ -87,7 +95,7 @@ class TestTrendMain:
     def test_regression_fails_and_threshold_is_honoured(self, tmp_path):
         log = tmp_path / "log.json"
         log.write_text(
-            json.dumps([_record(100_000, 200_000), _record(80_000, 200_000)])
+            json.dumps([_record(100_000), _record(80_000)])
         )
         assert trend_main(["--file", str(log)]) == 1
         assert trend_main(["--file", str(log), "--threshold", "0.25"]) == 0
@@ -95,7 +103,7 @@ class TestTrendMain:
     def test_clean_trend_passes(self, tmp_path):
         log = tmp_path / "log.json"
         log.write_text(
-            json.dumps([_record(100_000, 200_000), _record(101_000, 210_000)])
+            json.dumps([_record(100_000), _record(101_000)])
         )
         assert trend_main(["--file", str(log)]) == 0
 
@@ -106,7 +114,7 @@ class TestLoadHistoryQuarantine:
 
     def test_valid_history_kept(self, tmp_path):
         log = tmp_path / "log.json"
-        records = [_record(1, 2)]
+        records = [_record(1)]
         log.write_text(json.dumps(records))
         assert load_history(str(log)) == (records, None)
 
