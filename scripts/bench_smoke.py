@@ -8,18 +8,12 @@ timings are appended to ``BENCH_runner.json`` so successive PRs
 accumulate a performance trajectory for the experiment engine and the
 simulation kernel under it.
 
-Appended records carry ``schema: 8`` and a ``kind`` discriminator:
+Appended records carry ``schema: 9`` and a ``kind`` discriminator:
 
 * ``runner_sweep``      -- serial vs process-pool wall time (plus, for
   serial fallbacks, the runner's ``fallback_reason``);
 * ``kernel_throughput`` -- raw event-queue events/s at a 128k-event
   resident population (the E22 headline probe);
-* ``fastforward``       -- the steady-state macro-stepper
-  (``REPRO_FASTFORWARD``): wall time of a regulation-bound open-loop
-  streaming scenario with the engine off vs on (same-run speedup,
-  gated at ``FF_MIN_SPEEDUP``), byte-identity of the two result
-  tables, and the engine's paired overhead ratio on an irregular
-  scenario where it always declines (gated at ``FF_MAX_OVERHEAD``);
 * ``runner_telemetry``  -- the pool run's execution report
   (:class:`repro.telemetry.RunnerTelemetry`: per-spec seconds,
   worker utilization, cache accounting), nested under ``telemetry``;
@@ -44,11 +38,8 @@ Usage::
 
 Exit code 0 = all row sets identical AND the forced-parallel gate
 holds (under ``REPRO_JOBS=2`` the runner must actually use the pool
-and produce byte-identical rows) AND the fast-forward gates hold
-(byte-identical tables, >= ``FF_MIN_SPEEDUP`` same-run speedup on the
-steady scenario, <= ``FF_MAX_OVERHEAD`` paired overhead where the
-engine declines).  The serial/pool speedup remains reported, not
-asserted: CI boxes with one core legitimately see ~1x.
+and produce byte-identical rows).  The serial/pool speedup remains
+reported, not asserted: CI boxes with one core legitimately see ~1x.
 
 A pre-existing ``--out`` file that cannot be parsed as a JSON list is
 quarantined (renamed to ``<out>.corrupt-N``) and a fresh history is
@@ -69,11 +60,10 @@ sys.path.insert(0, os.path.join(_HERE, "..", "src"))
 sys.path.insert(0, os.path.join(_HERE, ".."))
 
 from repro.runner import ParallelRunner, RunSpec, resolve_workers  # noqa: E402
-from repro.sim.kernel import FASTFORWARD_ENV  # noqa: E402
 from repro.soc.presets import zcu102  # noqa: E402
 
 #: Schema version stamped on every appended record.
-SCHEMA = 8
+SCHEMA = 9
 
 #: ABBA rounds for the probe-overhead record (the CI gate uses its
 #: own, stricter repeat count).
@@ -81,27 +71,6 @@ PROBE_REPEATS = 3
 
 #: Worker count forced (via ``REPRO_JOBS``) for the parallel proof.
 FORCED_JOBS = 2
-
-#: Fast-forward gate: same-run wall-time speedup the macro-stepper
-#: must deliver on the steady regulation-bound scenario.
-#: (Measured headroom is ~4x; the floor guards the engine's whole
-#: point -- skipping regular regions analytically.)
-FF_MIN_SPEEDUP = 3.0
-
-#: Fast-forward gate: paired wall-time ratio (engine attached vs
-#: knob off) allowed on the irregular scenario where the detector
-#: declines every cycle -- probing must stay almost free.
-FF_MAX_OVERHEAD = 1.05
-
-#: ABBA sample pairs for the fast-forward overhead measurement.
-FF_OVERHEAD_REPEATS = 3
-
-#: Horizon of the steady fast-forward scenario (cycles): long enough
-#: that thousands of refill windows amortize attach/teardown costs.
-FF_STEADY_HORIZON = 600_000
-
-#: Horizon of the irregular (always-declining) scenario.
-FF_IRREGULAR_HORIZON = 120_000
 
 #: The fixed 8-point grid: 4 shares x 2 windows, small critical work
 #: so the whole smoke run stays in seconds.
@@ -178,135 +147,6 @@ def kernel_throughput():
 
     rate, _ = _bench_scheduler_stress()
     return rate, STRESS_POPULATION
-
-
-def _ff_steady_config():
-    """The steady-streaming regulation-bound scenario: one open-loop
-    Poisson stream under a tight tightly-coupled budget -- the shape
-    the macro-stepper advances analytically."""
-    from repro.regulation.factory import RegulatorSpec
-    from repro.soc.platform import MasterSpec, PlatformConfig
-
-    window = 4096
-    return PlatformConfig(
-        masters=(
-            MasterSpec(
-                name="olp0",
-                workload="open_loop_stream",
-                region_base=0x1000_0000,
-                region_extent=4 << 20,
-                regulator=RegulatorSpec(
-                    kind="tightly_coupled",
-                    window_cycles=window,
-                    budget_bytes=max(1, round(0.002 * PEAK * window)),
-                ),
-            ),
-        ),
-        seed=3,
-    )
-
-
-def _ff_irregular_config():
-    """An irregular scenario the detector must decline every cycle:
-    the open-loop stream is unregulated (never analytically blocked)
-    and a closed-loop CPU reader shares the fabric."""
-    from repro.soc.platform import MasterSpec, PlatformConfig
-
-    return PlatformConfig(
-        masters=(
-            MasterSpec(
-                name="cpu0",
-                workload="latency_probe",
-                region_base=0x2000_0000,
-                region_extent=4 << 20,
-            ),
-            MasterSpec(
-                name="olp0",
-                workload="open_loop_stream",
-                region_base=0x1000_0000,
-                region_extent=4 << 20,
-            ),
-        ),
-        seed=3,
-    )
-
-
-def _ff_run(config, fastforward, horizon):
-    """One platform run -> ``(table, seconds, ff_regions)``."""
-    from repro.soc.experiment import PlatformResult
-    from repro.soc.platform import Platform
-
-    previous = os.environ.get(FASTFORWARD_ENV)
-    os.environ[FASTFORWARD_ENV] = "1" if fastforward else "0"
-    try:
-        platform = Platform(config)
-        start = time.perf_counter()
-        elapsed = platform.run(horizon, stop_when_critical_done=False)
-        seconds = time.perf_counter() - start
-        table = PlatformResult(platform, elapsed).summary().to_json()
-        regions = platform.sim.kernel_stats().get("ff_regions", 0)
-    finally:
-        if previous is None:
-            os.environ.pop(FASTFORWARD_ENV, None)
-        else:
-            os.environ[FASTFORWARD_ENV] = previous
-    return table, seconds, regions
-
-
-def fastforward_record():
-    """The macro-stepper's smoke measurement.
-
-    Returns the ``fastforward`` record dict (sans schema/timestamp):
-    off/on wall times and the same-run speedup on the steady scenario,
-    byte-identity of the two runs, the engagement count, and the
-    median ABBA-paired overhead ratio on the irregular scenario where
-    the engine declines everything.
-    """
-    import statistics
-
-    steady = _ff_steady_config()
-    table_off, off_s, _ = _ff_run(steady, False, FF_STEADY_HORIZON)
-    table_on, on_s, regions = _ff_run(steady, True, FF_STEADY_HORIZON)
-    rows_identical = table_on == table_off
-    speedup = off_s / on_s
-
-    # Paired overhead on the always-declining scenario: ABBA pairs
-    # (on, off, off, on) so monotone drift -- e.g. thermal settling
-    # after the heavy steady runs above -- hits both halves of each
-    # ratio equally and cancels.
-    irregular = _ff_irregular_config()
-    ratios = []
-    declined_regions = 0
-    _ff_run(irregular, False, FF_IRREGULAR_HORIZON)  # warm-up
-    for _ in range(FF_OVERHEAD_REPEATS):
-        _, a_on, regions_a = _ff_run(irregular, True, FF_IRREGULAR_HORIZON)
-        _, a_off, _ = _ff_run(irregular, False, FF_IRREGULAR_HORIZON)
-        _, b_off, _ = _ff_run(irregular, False, FF_IRREGULAR_HORIZON)
-        _, b_on, regions_b = _ff_run(irregular, True, FF_IRREGULAR_HORIZON)
-        declined_regions += regions_a + regions_b
-        ratios.append((a_on + b_on) / (a_off + b_off))
-    overhead = statistics.median(ratios)
-
-    return {
-        "kind": "fastforward",
-        "steady_horizon": FF_STEADY_HORIZON,
-        "off_s": round(off_s, 3),
-        "on_s": round(on_s, 3),
-        "speedup": round(speedup, 3),
-        "regions": regions,
-        "rows_identical": rows_identical,
-        "min_speedup": FF_MIN_SPEEDUP,
-        "irregular_horizon": FF_IRREGULAR_HORIZON,
-        "irregular_overhead": round(overhead, 3),
-        "irregular_regions": declined_regions,
-        "max_overhead": FF_MAX_OVERHEAD,
-        "gate_ok": (
-            rows_identical
-            and speedup >= FF_MIN_SPEEDUP
-            and overhead <= FF_MAX_OVERHEAD
-            and declined_regions == 0
-        ),
-    }
 
 
 def _timestamp():
@@ -400,10 +240,6 @@ def main(argv=None) -> int:
         }
     )
 
-    ff = fastforward_record()
-    ff_record = {"schema": SCHEMA, **ff, "timestamp": _timestamp()}
-    records.append(ff_record)
-
     from repro.telemetry import RunnerTelemetry
 
     telemetry = RunnerTelemetry.from_runner(parallel_runner).to_dict()
@@ -492,15 +328,6 @@ def main(argv=None) -> int:
         print(f"bench_smoke: pool fallback: {sweep['fallback_reason']}")
     print(f"bench_smoke: kernel stress {kernel['heap_events_s']} ev/s -> {out}")
     print(
-        f"bench_smoke: fastforward steady {ff['off_s']}s -> {ff['on_s']}s "
-        f"(x{ff['speedup']}); rows_identical={ff['rows_identical']}"
-    )
-    print(
-        f"bench_smoke: fastforward irregular paired overhead "
-        f"x{ff['irregular_overhead']} "
-        f"({ff['irregular_regions']} regions engaged while declining)"
-    )
-    print(
         f"bench_smoke: pool utilization "
         f"{telemetry['utilization']:.0%} over {telemetry['workers']} workers "
         f"({telemetry['executed']} executed, "
@@ -527,23 +354,6 @@ def main(argv=None) -> int:
             f"FAIL: forced REPRO_JOBS={FORCED_JOBS} sweep {reason}",
             file=sys.stderr,
         )
-        return 1
-    if not ff["gate_ok"]:
-        if not ff["rows_identical"]:
-            reason = "produced non-identical result tables"
-        elif ff["irregular_regions"]:
-            reason = "engaged on the irregular scenario it must decline"
-        elif ff["irregular_overhead"] > FF_MAX_OVERHEAD:
-            reason = (
-                f"costs x{ff['irregular_overhead']} while declining "
-                f"(max x{FF_MAX_OVERHEAD})"
-            )
-        else:
-            reason = (
-                f"delivered only x{ff['speedup']} "
-                f"on the steady scenario (floor x{FF_MIN_SPEEDUP})"
-            )
-        print(f"FAIL: fast-forward engine {reason}", file=sys.stderr)
         return 1
     return 0
 

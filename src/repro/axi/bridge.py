@@ -51,6 +51,9 @@ class Bridge:
         self.port = port
         self.name = port.name
         self.stats = StatSet(f"{port.name}.bridge")
+        # Pre-resolved collectors: enqueue() runs once per transaction.
+        self._stat_forwarded = self.stats.counter("forwarded")
+        self._samp_occupancy = self.stats.sampler("occupancy")
         self._upstream = None
         self._parents: Dict[int, Transaction] = {}
         if port.on_response is not None:
@@ -77,8 +80,8 @@ class Bridge:
             created=self.sim.now,
         )
         self._parents[child.txn_id] = txn
-        self.stats.counter("forwarded").add()
-        self.stats.sampler("occupancy").record(len(self._parents))
+        self._stat_forwarded.add()
+        self._samp_occupancy.record(len(self._parents))
         self.port.submit(child)
 
     # ------------------------------------------------------------------

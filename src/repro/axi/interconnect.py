@@ -75,6 +75,9 @@ class Interconnect:
         self.ports: List[MasterPort] = []
         self._ports_by_name = {}
         self.stats = StatSet("interconnect")
+        # Pre-resolved collectors: one update per accepted transaction.
+        self._stat_accepted = self.stats.counter("accepted")
+        self._stat_accepted_bytes = self.stats.counter("accepted_bytes")
         self._memory = None  # set by attach_memory
         # First free cycle per address channel: one combined channel
         # (key None) or independent read/write channels.
@@ -148,19 +151,24 @@ class Interconnect:
         """
         candidates = []
         for index, port in enumerate(self.ports):
-            txn = port.head(want_write=direction)
-            if txn is not None:
-                candidates.append((index, txn))
+            # A port with nothing queued or no free outstanding slot
+            # cannot offer a head; skip it without calling into it.
+            if port._queued and port._outstanding < port._max_outstanding:
+                txn = port.head(direction)
+                if txn is not None:
+                    candidates.append((index, txn))
         if not candidates:
             return False
         winner = self.arbiter.select(candidates)
+        for index, chosen in candidates:
+            if index == winner:
+                break
         # Accept by the chosen transaction's own direction: on a
         # split-channel port this selects the right queue even when
         # this interconnect runs a combined channel.
-        chosen = dict(candidates)[winner]
         txn = self.ports[winner].accept_head(want_write=chosen.is_write)
-        self.stats.counter("accepted").add()
-        self.stats.counter("accepted_bytes").add(txn.nbytes)
+        self._stat_accepted.add()
+        self._stat_accepted_bytes.add(txn.nbytes)
         self._tm_accepted.inc()
         self._next_free[direction] = now + self.config.addr_cycles
         if self._memory is None:

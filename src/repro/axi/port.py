@@ -99,19 +99,27 @@ class MasterPort:
         self.trace = trace
         self.stats = StatSet(config.name)
         # One combined queue, or one per address channel (AR/AW).
-        if config.split_channels:
+        self._split = config.split_channels
+        if self._split:
             self._queues = {False: deque(), True: deque()}
         else:
             self._queues = {False: deque()}
+        #: Transactions waiting in all queues (the interconnect reads
+        #: it, with ``_outstanding``/``_max_outstanding``, to skip
+        #: ports that cannot offer a head without calling into them).
+        self._queued = 0
         self._outstanding = 0
+        self._max_outstanding = config.max_outstanding
         self._interconnect = None  # set by Interconnect.attach_port
         self._retry_scheduled_at: Optional[int] = None
-        #: Retry kick events currently in the queue (scheduled, not
-        #: yet fired).  The fast-forward detector sums this over every
-        #: port to account for the full foreground-event population;
-        #: unlike ``_retry_scheduled_at`` it never resets early, so a
-        #: stale retry on an already-drained port is still counted.
-        self._retry_events_live = 0
+        # Denied heads park, per queue key (False = combined/AR,
+        # True = AW): before ``_parked_until[key]`` the regulator has
+        # guaranteed its head stays denied (``denied_until``), so the
+        # port skips re-asking it.  ``_parked_retry[key]`` is the
+        # retry cycle the denial asked for.  Cleared by
+        # regulator_released().
+        self._parked_until = [0, 0]
+        self._parked_retry = [0, 0]
         #: Called with the completed transaction (set by the master).
         self.on_response: Optional[Callable[[Transaction], None]] = None
         #: Observers of data-beat traffic: ``fn(nbytes, now)``.
@@ -184,19 +192,20 @@ class MasterPort:
             txn.qos = self.config.qos
         txn.mark_issued(self.sim.now)
         self._queue_for(txn).append(txn)
+        self._queued += 1
         self._stat_submitted.add()
         self._tm_issued.inc()
         self._interconnect.kick()
 
     def _queue_for(self, txn: Transaction) -> Deque[Transaction]:
-        if self.config.split_channels:
+        if self._split:
             return self._queues[txn.is_write]
         return self._queues[False]
 
     @property
     def queue_depth(self) -> int:
         """Transactions waiting for address acceptance."""
-        return sum(len(q) for q in self._queues.values())
+        return self._queued
 
     @property
     def outstanding(self) -> int:
@@ -206,27 +215,11 @@ class MasterPort:
     @property
     def idle(self) -> bool:
         """True when nothing is queued or in flight."""
-        return self.queue_depth == 0 and self._outstanding == 0
+        return self._queued == 0 and self._outstanding == 0
 
     # ------------------------------------------------------------------
     # interconnect-facing API
     # ------------------------------------------------------------------
-    def _candidate_heads(self, want_write: Optional[bool]):
-        """Head transactions matching the requested direction."""
-        if self.config.split_channels:
-            if want_write is None:
-                keys = (False, True)
-            else:
-                keys = (want_write,)
-            return [self._queues[k][0] for k in keys if self._queues[k]]
-        queue = self._queues[False]
-        if not queue:
-            return []
-        head = queue[0]
-        if want_write is not None and head.is_write != want_write:
-            return []
-        return [head]
-
     # repro: hot -- once per arbitration pass
     def head(self, want_write: Optional[bool] = None) -> Optional[Transaction]:
         """Return an eligible head-of-line transaction, or None.
@@ -241,37 +234,74 @@ class MasterPort:
         regulator (if any) admits it *now*.  When the regulator is the
         blocker, a retry kick is scheduled for the cycle the regulator
         says credit becomes available, so the interconnect re-runs
-        arbitration without polling.
+        arbitration without polling, and the queue parks until
+        :meth:`~repro.regulation.base.BandwidthRegulator.denied_until`
+        (see :meth:`_admit`).
         """
-        if self._outstanding >= self.config.max_outstanding:
+        if self._outstanding >= self._max_outstanding:
             return None
-        for txn in self._candidate_heads(want_write):
-            if self.regulator is not None:
-                now = self.sim.now
-                if not self.regulator.may_issue(txn, now):
-                    self._stat_denials.add()
-                    self._tm_denials.inc()
-                    if self._throttle_since is None:
-                        self._throttle_since = now
-                    self._schedule_retry(
-                        self.regulator.next_opportunity(txn, now)
-                    )
-                    continue
-            return txn
+        # Queue keys: False is the combined queue or AR, True is AW.
+        if self._split:
+            keys = (False, True) if want_write is None else (want_write,)
+        else:
+            keys = (False,)
+        for key in keys:
+            queue = self._queues[key]
+            if not queue:
+                continue
+            txn = queue[0]
+            # Only the combined queue can hold the other direction.
+            if want_write is not None and txn.is_write != want_write:
+                continue
+            if self.regulator is None or self._admit(key, txn):
+                return txn
         return None
+
+    # repro: hot
+    def _admit(self, key: bool, txn: Transaction) -> bool:
+        """Ask the regulator about the head ``txn`` of queue ``key``.
+
+        A denial starts a denial episode: it is counted once, a retry
+        kick is scheduled at ``next_opportunity``, and the queue parks
+        until ``denied_until``.  While parked the regulator is not
+        asked, because it guaranteed the answer stays False.  One case
+        still needs work, so that kicks stay exactly those of asking
+        on every pass: when no retry is pending in
+        ``(now, parked retry]`` (a retry of the other queue fired), the
+        retry is armed again as a fresh denial would arm it.
+        """
+        regulator = self.regulator
+        now = self.sim.now
+        if now < self._parked_until[key]:
+            pending = self._retry_scheduled_at
+            if pending is None or pending <= now or pending > self._parked_retry[key]:
+                self._schedule_retry(regulator.next_opportunity(txn, now))
+            return False
+        if regulator.may_issue(txn, now):
+            return True
+        self._stat_denials.add()
+        self._tm_denials.inc()
+        if self._throttle_since is None:
+            self._throttle_since = now
+        retry = regulator.next_opportunity(txn, now)
+        self._parked_until[key] = regulator.denied_until(txn, now)
+        self._parked_retry[key] = retry
+        self._schedule_retry(retry)
+        return False
 
     # repro: hot
     def accept_head(self, want_write: Optional[bool] = None) -> Transaction:
         """The interconnect accepted this port's head transaction."""
-        if self.config.split_channels and want_write is None:
+        if self._split and want_write is None:
             raise ProtocolError(
                 f"port {self.name!r}: split channels need a direction"
             )
-        key = want_write if self.config.split_channels else False
+        key = want_write if self._split else False
         queue = self._queues[key]
         if not queue:
             raise ProtocolError(f"port {self.name!r}: accept with empty queue")
         txn = queue.popleft()
+        self._queued -= 1
         txn.mark_accepted(self.sim.now)
         self._outstanding += 1
         if self.regulator is not None:
@@ -333,7 +363,7 @@ class MasterPort:
         if self.on_response is not None:
             self.on_response(txn)
         # A freed outstanding slot may unblock a head-of-line txn.
-        if self.queue_depth:
+        if self._queued:
             self._interconnect.kick()
 
     # ------------------------------------------------------------------
@@ -377,8 +407,13 @@ class MasterPort:
             self._throttle_since = None
 
     def regulator_released(self) -> None:
-        """Callback for regulators: credit became available."""
-        if self.queue_depth:
+        """Callback for regulators: credit became available.
+
+        Ends every denial episode: both queues unpark, so the next
+        pass asks the regulator again.
+        """
+        self._parked_until[0] = self._parked_until[1] = 0
+        if self._queued:
             self._interconnect.kick()
 
     def _schedule_retry(self, at_cycle: int) -> None:
@@ -392,12 +427,10 @@ class MasterPort:
         ):
             return
         self._retry_scheduled_at = at_cycle
-        self._retry_events_live += 1
+        self.sim.schedule_at(at_cycle, self._retry, priority=Phase.MASTER)
 
-        def retry() -> None:
-            self._retry_events_live -= 1
-            self._retry_scheduled_at = None
-            if self.queue_depth:
-                self._interconnect.kick()
-
-        self.sim.schedule_at(at_cycle, retry, priority=Phase.MASTER)
+    def _retry(self) -> None:
+        """The retry kick armed by :meth:`_schedule_retry`."""
+        self._retry_scheduled_at = None
+        if self._queued:
+            self._interconnect.kick()

@@ -8,9 +8,7 @@ runs the analyses that need them:
   function transitively reachable from a ``# repro: hot`` anchor,
   not just the anchored bodies;
 * **CONC** -- fork- and event-loop-boundary rules
-  (:mod:`repro.checks.rules.conc`);
-* **FFC** -- the fast-forward analytic contract on regulators
-  (:mod:`repro.checks.rules.ffc`).
+  (:mod:`repro.checks.rules.conc`).
 
 The per-file half of the scan (parse + symbol extraction + the
 location-bound fact tables) is embarrassingly parallel and fans out
@@ -138,7 +136,7 @@ def run_deep(
     jobs: Optional[int] = None,
 ) -> DeepResult:
     """Scan, index, and run every whole-program analysis."""
-    from repro.checks.rules import conc, ffc
+    from repro.checks.rules import conc
 
     modules = scan_paths(paths, jobs)
     index = ProjectIndex(modules)
@@ -174,7 +172,6 @@ def run_deep(
         analyses={
             "hot": hot_summary,
             "conc": conc.analysis_summary(index),
-            "ffc": ffc.analysis_summary(index),
         },
     )
 
@@ -274,7 +271,6 @@ def format_deep_report(result: DeepResult, fmt: str = "human") -> str:
         lines.append(f"{finding.format_human()} (baselined)")
     hot = result.analyses.get("hot", {})
     conc = result.analyses.get("conc", {})
-    ffc = result.analyses.get("ffc", {})
     lines.append(
         f"hot set: {hot.get('reachable', 0)} reachable from "
         f"{hot.get('anchored', 0)} anchors "
@@ -285,11 +281,6 @@ def format_deep_report(result: DeepResult, fmt: str = "human") -> str:
         f"from {len(conc.get('worker_roots', []))} pool root(s); "
         f"async: {conc.get('async_reachable', 0)} from "
         f"{conc.get('async_roots', 0)} handler(s)"
-    )
-    lines.append(
-        f"ff contract: {len(ffc.get('implemented', []))} implemented, "
-        f"{len(ffc.get('opted_out', []))} opted out, "
-        f"{len(ffc.get('missing', []))} missing"
     )
     lines.append(
         f"{result.files} files: {len(result.errors)} errors, "

@@ -20,8 +20,8 @@ anchor*.  This module supplies the shared substrate:
   registry dicts), method resolution with dynamic dispatch through
   subclass overrides, and BFS reachability over the resulting edges.
 * :class:`GraphRule` / :data:`GRAPH_REGISTRY` mirror the per-file rule
-  framework for rules that need the whole index (the CONC and FFC
-  families in :mod:`repro.checks.rules.conc` / ``.ffc``).
+  framework for rules that need the whole index (the CONC family in
+  :mod:`repro.checks.rules.conc`).
 
 The resolver is deliberately *under*-approximate where Python is
 dynamic: an edge is added only when a receiver's type can be traced
@@ -127,7 +127,6 @@ class ClassSym:
     line: int
     path: str
     source: str  #: stripped ``class`` source line (for fingerprints)
-    anchors: Tuple[str, ...]
     bases: Tuple[str, ...]  #: raw dotted base texts, in order
     methods: Dict[str, str] = field(default_factory=dict)
     attr_types: Dict[str, str] = field(default_factory=dict)
@@ -561,7 +560,6 @@ def _class_facts(
         line=node.lineno,
         path=ctx.path,
         source=ctx.source_line(node.lineno),
-        anchors=tuple(sorted(info.anchors)),
         bases=bases,
         methods=methods,
         attr_types=attr_types,
@@ -959,7 +957,7 @@ class ProjectIndex:
 
 
 # ---------------------------------------------------------------------------
-# graph rules (the deep families: CONC, FFC)
+# graph rules (the deep family: CONC)
 # ---------------------------------------------------------------------------
 class GraphRule:
     """One whole-program invariant check.
@@ -997,6 +995,5 @@ def graph_rule(cls):
 def all_graph_rules() -> List[GraphRule]:
     """Registered graph rules in id order (imports the deep families)."""
     import repro.checks.rules.conc  # noqa: F401  (registration)
-    import repro.checks.rules.ffc  # noqa: F401  (registration)
 
     return [GRAPH_REGISTRY[rid] for rid in sorted(GRAPH_REGISTRY)]

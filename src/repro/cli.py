@@ -92,7 +92,7 @@ def cmd_regulate(args) -> int:
                 "master": name,
                 "bandwidth_B_cyc": m.bandwidth_bytes_per_cycle,
                 "p99_latency": m.latency_p99,
-                "denials": m.regulator_denials,
+                "denial_episodes": m.regulator_denials,
             }
         )
     title = (
@@ -287,10 +287,6 @@ def cmd_check(args) -> int:
             update_baseline=args.write_baseline,
             jobs=args.jobs,
         )
-    if args.check_command == "ffdiff":
-        from repro.checks.ffdiff import run_ffdiff
-
-        return run_ffdiff(quick=args.quick)
     if args.check_command == "sanitize":
         return _cmd_check_sanitize(args)
     raise ReproError(f"unhandled check subcommand {args.check_command!r}")
@@ -641,7 +637,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = check_sub.add_parser(
         "deep",
-        help="whole-program analyses: hot-set propagation, CONC, FFC",
+        help="whole-program analyses: hot-set propagation, CONC",
     )
     c.add_argument("paths", nargs="*", help="files/directories (default: src)")
     c.add_argument("--format", default="human",
@@ -652,14 +648,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="record current findings as the new baseline")
     c.add_argument("--jobs", type=int, default=None,
                    help="scan files with N pool workers (default: auto)")
-    c.set_defaults(fn=cmd_check)
-
-    c = check_sub.add_parser(
-        "ffdiff",
-        help="fast-forward differential harness over shipped regulators",
-    )
-    c.add_argument("--quick", action="store_true",
-                   help="one grid point per regulator family")
     c.set_defaults(fn=cmd_check)
 
     c = check_sub.add_parser(

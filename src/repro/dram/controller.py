@@ -127,6 +127,20 @@ class DramController:
         self.address_map = self.config.address_map
         self.banks = [Bank(i) for i in range(self.address_map.num_banks)]
         self.stats = StatSet("dram")
+        # Pre-resolved collectors: enqueue/_service run once per
+        # request, so the StatSet name lookups are hoisted out of them.
+        stats = self.stats
+        self._stat_enqueued = stats.counter("enqueued")
+        self._samp_queue_depth = stats.sampler("queue_depth")
+        self._stat_posted = stats.counter("posted_writes")
+        self._stat_row = {
+            kind: stats.counter(f"row_{kind}")
+            for kind in ("hit", "miss", "conflict")
+        }
+        self._stat_turnarounds = stats.counter("turnarounds")
+        self._stat_serviced = stats.counter("serviced")
+        self._stat_bytes = stats.counter("bytes")
+        self._samp_service_time = stats.sampler("service_time")
         self._queue: List[_QueueEntry] = []
         self._upstream = None
         self._bus_free_at = 0
@@ -181,14 +195,14 @@ class DramController:
         self._queue.append(
             _QueueEntry(txn, self.sim.now, bank, row, posted=posted)
         )
-        self.stats.counter("enqueued").add()
-        self.stats.sampler("queue_depth").record(len(self._queue))
+        self._stat_enqueued.add()
+        self._samp_queue_depth.record(len(self._queue))
         self._tm_queue_depth.observe(len(self._queue))
         if posted:
             # The write buffer acknowledges immediately; the drain to
             # the device stays queued.
             self._buffered_writes += 1
-            self.stats.counter("posted_writes").add()
+            self._stat_posted.add()
             txn.mark_mem_start(self.sim.now)
             upstream = self._upstream
             if upstream is None:
@@ -199,27 +213,6 @@ class DramController:
     @property
     def queue_depth(self) -> int:
         return len(self._queue)
-
-    def ff_quiescent(self, now: int) -> bool:
-        """True when the controller is fully drained at ``now``.
-
-        The fast-forward engine only macro-steps regions where the
-        memory system is provably inert: nothing queued, no posted
-        write draining, no scheduler pass pending, the data bus and
-        pick stage free, and every bank settled (no in-flight command
-        sequence -- a future ``ready_at`` is a bank-state transition
-        and therefore a structural horizon boundary).  Refresh stays
-        safe without being checked here: the refresh daemon is a
-        queued event, and the kernel bounds every macro-step by the
-        queue's next event time.
-        """
-        if self._queue or self._buffered_writes:
-            return False
-        if self._sched_scheduled_at is not None:
-            return False
-        if self._bus_free_at > now or self._pick_free_at > now:
-            return False
-        return all(bank.settled(now) for bank in self.banks)
 
     # ------------------------------------------------------------------
     # scheduling
@@ -285,7 +278,7 @@ class DramController:
         txn = entry.txn
         bank = self.banks[entry.bank]
         kind = bank.classify(entry.row)
-        self.stats.counter(f"row_{kind}").add()
+        self._stat_row[kind].add()
         self._tm_row[kind].inc()
 
         cmd_start = max(now, bank.ready_at())
@@ -296,7 +289,7 @@ class DramController:
         bus_start = max(data_ready, self._bus_free_at)
         if self._last_was_write is not None and self._last_was_write != txn.is_write:
             bus_start += self.timing.rw_turnaround
-            self.stats.counter("turnarounds").add()
+            self._stat_turnarounds.add()
             self._tm_turnarounds.inc()
         data_cycles = self.timing.data_cycles(txn.burst_len)
         bus_end = bus_start + data_cycles
@@ -305,11 +298,11 @@ class DramController:
         self._pick_free_at = bus_start
         self._last_was_write = txn.is_write
         self._busy_cycles += data_cycles
-        self.stats.counter("serviced").add()
-        self.stats.counter("bytes").add(txn.nbytes)
+        self._stat_serviced.add()
+        self._stat_bytes.add(txn.nbytes)
         self._tm_serviced.inc()
         self._tm_bytes.inc(txn.nbytes)
-        self.stats.sampler("service_time").record(bus_end - entry.arrival)
+        self._samp_service_time.record(bus_end - entry.arrival)
 
         if entry.posted:
             # Drain of an already-acknowledged write: free the buffer

@@ -277,7 +277,7 @@ def _register_port(probes: ProbeMap, name: str, port: Any) -> None:
     )
     probes.register(
         f"port/{name}/denials", lambda: stat_denials.value,
-        unit="txns", master=name, channel="port",
+        unit="episodes", master=name, channel="port",
     )
     probes.register(
         f"port/{name}/last_latency", lambda: port.last_latency,

@@ -7,7 +7,12 @@ The port consults it on every address handshake:
 2. ``charge(txn, now)`` -- called when the handshake is accepted;
 3. ``next_opportunity(txn, now)`` -- when admission was denied, the
    first cycle at which retrying can succeed (lets the simulation
-   stay event-driven instead of polling).
+   stay event-driven instead of polling);
+4. ``denied_until(txn, now)`` -- when admission was denied, the cycle
+   before which the denial is guaranteed to hold.  The port parks the
+   queue until then (the stall is a level signal, as in the RTL), so
+   a denied head costs one check per denial episode, not one per
+   arbitration pass.
 
 Regulators are also *monitors*: they observe the traffic they police
 and export total and per-window counters.  Run-time reconfiguration goes through
@@ -89,34 +94,22 @@ class BandwidthRegulator:
         """Earliest cycle a denied transaction could be admitted."""
         raise NotImplementedError
 
-    # ------------------------------------------------------------------
-    # fast-forward protocol (see repro.sim.fastforward)
-    # ------------------------------------------------------------------
-    def ff_horizon(self, now: int) -> Optional[int]:
-        """First future cycle at which this regulator's admission
-        decision could change by *time alone* (no traffic in between).
+    def denied_until(self, txn: Transaction, now: int) -> int:
+        """Cycle before which a just-denied ``txn`` stays denied.
 
-        The fast-forward engine treats the returned cycle as a hard
-        upper bound on any macro-step: a blocked region may never span
-        it.  Returning ``None`` opts the policy out of analytic
-        advancement entirely -- regions containing this regulator stay
-        on the event-accurate path.  The base class opts out, so only
-        policies that explicitly prove their decision function is
-        piecewise-constant in time participate.
+        Called right after ``may_issue(txn, now)`` returned False.  The
+        contract: on this regulator, ``may_issue(txn, t)`` stays False
+        for every ``t`` in ``[now, denied_until)`` unless the regulator
+        calls :meth:`_release` first -- charges of other traffic may
+        happen in between, so only policies whose credit can only
+        shrink between releases may return more than ``now``.  Such a
+        policy must also keep ``next_opportunity`` from moving earlier
+        over that span.
+
+        The base class returns ``now``: no guarantee, so the port asks
+        again on every arbitration pass.
         """
-        return None
-
-    def ff_advance_bulk(self, now: int) -> None:
-        """Settle internal clocks after an analytic macro-step.
-
-        Called once per fast-forwarded region, with ``now`` equal to
-        the last cycle the event-accurate kernel would have consulted
-        this regulator at.  Implementations must leave the regulator
-        in exactly the state a per-cycle denial walk would have --
-        including observable counters.  The base implementation is a
-        no-op (correct for stateless deniers; opted-out policies are
-        never called).
-        """
+        return now
 
     # ------------------------------------------------------------------
     # reconfiguration

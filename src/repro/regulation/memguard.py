@@ -253,23 +253,9 @@ class MemGuardRegulator(BandwidthRegulator):
     def next_opportunity(self, txn: Transaction, now: int) -> int:
         return self._period_start + self.config.period_cycles
 
-    # ------------------------------------------------------------------
-    # fast-forward protocol
-    # ------------------------------------------------------------------
-    def ff_horizon(self, now: int) -> Optional[int]:
-        """Analytic-advance bound: the next period tick.
-
-        A throttled actor stays throttled until the tick reloads the
-        budget (``may_issue`` reads nothing but ``_throttled``), and
-        the tick itself is a daemon event the kernel's queue peek
-        already bounds macro-steps by.  The PMU accumulates on data
-        beats and the overflow interrupt is a foreground event, so a
-        region with either in flight never forms (the fast-forward
-        detector's event-population invariant rejects it).
-        ``ff_advance_bulk`` stays the base no-op: nothing in this
-        regulator advances lazily with wall clock.
-        """
-        return self._period_start + self.config.period_cycles
+    def denied_until(self, txn: Transaction, now: int) -> int:
+        # Only the period tick clears the throttle (and it releases).
+        return self.next_opportunity(txn, now)
 
     # ------------------------------------------------------------------
     # reconfiguration

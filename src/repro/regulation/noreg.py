@@ -15,8 +15,6 @@ from repro.monitor.window import WindowedBandwidthMonitor
 from repro.regulation.base import BandwidthRegulator
 
 
-# Admits everything, so a port it polices is never regulator-blocked
-# and no macro-step ever consults it.  # repro: ff-opt-out
 class NoRegulation(BandwidthRegulator):
     """Admit everything; observe only.
 

@@ -136,9 +136,6 @@ class PremController:
         self._holder = None
 
 
-# Token-holder admission depends on the other masters' traffic, not
-# on time alone, so no analytic horizon exists; regions containing a
-# PREM port stay on the event-accurate path.  # repro: ff-opt-out
 class PremRegulator(BandwidthRegulator):
     """Admits traffic only while holding the controller's token."""
 

@@ -17,8 +17,6 @@ for unregulated masters such as the host CPU).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.errors import RegulationError
 from repro.axi.port import MasterPort
 from repro.axi.txn import Transaction
@@ -130,30 +128,11 @@ class TdmaRegulator(BandwidthRegulator):
             )
         return self.schedule.slot_start(self.slot_index, now)
 
-    # ------------------------------------------------------------------
-    # fast-forward protocol
-    # ------------------------------------------------------------------
-    def ff_horizon(self, now: int) -> Optional[int]:
-        """Analytic-advance bound: the next occurrence of our slot.
-
-        A denied head stays denied until the slot next *starts*:
-        inside the current own slot ``cycles_left_in_slot`` only
-        shrinks (so a failed fit keeps failing, and an oversize burst
-        is only ever admitted at a slot-start cycle), and outside the
-        slot ``in_slot`` is False throughout.  The schedule arithmetic
-        is pure, so ``ff_advance_bulk`` stays the base no-op.
-        """
-        if self.schedule.in_slot(self.slot_index, now):
-            horizon = self.schedule.slot_start(
-                self.slot_index, now + self.schedule.cycles_left_in_slot(now)
-            )
-        else:
-            horizon = self.schedule.slot_start(self.slot_index, now)
-        if self.monitor is not None:
-            edge = self.monitor.bin_edge_after(now)
-            if edge < horizon:
-                horizon = edge
-        return horizon
+    def denied_until(self, txn: Transaction, now: int) -> int:
+        # Admission is a pure function of time: inside our slot the
+        # room left only shrinks, outside it nothing changes until the
+        # slot next starts.
+        return self.next_opportunity(txn, now)
 
     @property
     def time_share(self) -> float:

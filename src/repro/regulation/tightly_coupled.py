@@ -287,51 +287,22 @@ class TightlyCoupledRegulator(BandwidthRegulator):
             return min(by_credit, now + self.INJECT_POLL_CYCLES)
         return by_credit
 
-    # ------------------------------------------------------------------
-    # fast-forward protocol
-    # ------------------------------------------------------------------
-    def ff_horizon(self, now: int) -> Optional[int]:
-        """Analytic-advance bound: the next window refill boundary.
+    def denied_until(self, txn: Transaction, now: int) -> int:
+        """Credit only shrinks between refills, so a denial holds
+        until the credit the burst needs has been refilled.
 
-        Between refill boundaries the credit balance is constant (the
-        bucket only gains tokens at period edges), so a denied head
-        stays denied until at least the boundary -- the closed-form
-        property macro-stepping needs.  Three configurations opt out
-        (return ``None``) because their admission decision is *not* a
-        pure function of the credit balance over time:
-
-        * ``feedback_delay > 0`` -- the unseen-charge queue drains by
-          wall clock, so visible credit changes between boundaries;
-        * ``work_conserving`` -- admission also consults the live
-          memory-idle probe, and ``next_opportunity`` polls every
-          ``INJECT_POLL_CYCLES``;
-        * single-direction regulation -- heads on the free channel are
-          admitted regardless of credit, so a queue can drain
-          mid-region without any boundary being crossed.
+        With ``feedback_delay`` the visible credit also shrinks as
+        unseen charges land, so the guarantee is the next refill
+        boundary.  Work-conserving injection consults the live
+        memory-idle signal, which can flip any cycle: no guarantee.
         """
         cfg = self.config
-        if cfg.feedback_delay or cfg.work_conserving:
-            return None
-        if not (cfg.regulate_reads and cfg.regulate_writes):
-            return None
-        horizon = self._bucket.horizon(now)
-        if self.monitor is not None:
-            edge = self.monitor.bin_edge_after(now)
-            if edge < horizon:
-                horizon = edge
-        return horizon
-
-    def ff_advance_bulk(self, now: int) -> None:
-        """Settle the bucket's lazy refill bookkeeping at ``now``.
-
-        The event-accurate kernel advances the bucket as a side effect
-        of the ``may_issue`` denial it performs at every arrival cycle;
-        after a macro-step the last such cycle is ``now``, and
-        ``tokens_at`` is path-independent, so one settling call leaves
-        ``_tokens``/``_last_refill``/``refills`` exactly where the
-        per-cycle walk would have.
-        """
-        self._bucket.tokens_at(now)
+        if cfg.work_conserving:
+            return now
+        if cfg.feedback_delay:
+            return self._bucket.horizon(now)
+        need = min(txn.nbytes if cfg.burst_aware else 1, self._bucket.capacity)
+        return self._bucket.next_available(need, now)
 
     # ------------------------------------------------------------------
     # work-conserving wiring

@@ -154,13 +154,12 @@ class TokenBucket:
     def horizon(self, now: int) -> int:
         """First refill-period boundary strictly after ``now``.
 
-        Pure (no ``_advance``): the fast-forward engine calls this
-        while *probing* a region, before it has committed to anything,
-        so the read must not move ``refills`` or ``_last_refill``.
-        Between two boundaries the balance is constant, which is the
-        closed-form property the macro-stepper leans on: no admission
-        decision of a bucket-backed regulator can change strictly
-        inside ``(now, horizon(now))`` without traffic.
+        Pure (no ``_advance``), so reading it moves neither
+        ``refills`` nor ``_last_refill``.  Between two boundaries the
+        balance can only shrink (charges), which is why a denial of a
+        bucket-backed regulator holds strictly inside
+        ``(now, horizon(now))`` (see
+        ``TightlyCoupledRegulator.denied_until``).
         """
         period = self.refill_period
         anchor = self._last_refill

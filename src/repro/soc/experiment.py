@@ -35,7 +35,10 @@ class MasterResult:
             unbounded or unfinished masters).
         bandwidth_bytes_per_cycle: Bytes over the master's active
             interval (finish time if bounded, else the run's end).
-        regulator_denials: Address handshakes deferred by regulation.
+        regulator_denials: Regulator denial episodes.  A denied head
+            counts once, then parks until the regulator's
+            ``denied_until`` or a credit release.  Arbitration passes
+            during the park do not count.
     """
 
     name: str

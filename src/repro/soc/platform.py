@@ -18,8 +18,7 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.sim.config import ClockSpec
-from repro.sim.fastforward import FastForwardEngine
-from repro.sim.kernel import Simulator, resolve_fastforward
+from repro.sim.kernel import Simulator
 from repro.sim.trace import TraceRecorder
 from repro.axi.interconnect import Interconnect, InterconnectConfig
 from repro.axi.port import MasterPort, PortConfig
@@ -30,7 +29,6 @@ from repro.regulation.base import BandwidthRegulator
 from repro.regulation.factory import RegulatorSpec
 from repro.soc.provision import RegulatorProvisioner
 from repro.telemetry.log import get_logger
-from repro.traffic.arrivals import OpenLoopMaster
 from repro.traffic.master import Master
 from repro.traffic.workloads import make_workload
 
@@ -144,18 +142,6 @@ class Platform:
             self._build_master(spec)
         if self.prem_controller is not None:
             self._wire_prem_protection()
-        #: Attached fast-forward engine (None unless the
-        #: REPRO_FASTFORWARD knob is on and the platform has open-loop
-        #: masters to walk analytically).
-        self.fastforward: Optional[FastForwardEngine] = None
-        if resolve_fastforward():
-            streams = [
-                m for m in self.masters.values() if isinstance(m, OpenLoopMaster)
-            ]
-            if streams:
-                self.fastforward = FastForwardEngine(
-                    self.sim, self.interconnect, self.dram, streams
-                )
         #: The probe register file: every component's named live
         #: reads (see :mod:`repro.probes.map`).
         self.probes: ProbeMap = build_probe_map(self)

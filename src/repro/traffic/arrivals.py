@@ -122,13 +122,6 @@ class OpenLoopMaster(Master):
         self._addrs: List[int] = []
         self._writes: List[bool] = []
         self._pos = 0
-        #: Fast-forward support (repro.sim.fastforward): when tracking
-        #: is enabled the master keeps a handle on its one pending
-        #: arrival event so the engine can cancel it, emit the walk
-        #: analytically, and reschedule the remainder.  Off by default;
-        #: the per-arrival cost is a single bool test.
-        self._ff_track = False
-        self._pending_arrival = None
 
     # ------------------------------------------------------------------
     # Master interface
@@ -136,11 +129,9 @@ class OpenLoopMaster(Master):
     def _start(self) -> None:
         self._block_base = self.sim.now
         if self._refill():
-            event = self.sim.schedule_at(
+            self.sim.schedule_at(
                 self._times[0], self._arrive, priority=Phase.MASTER
             )
-            if self._ff_track:
-                self._pending_arrival = event
 
     def _on_response(self, txn: Transaction) -> None:
         self._completed += 1
@@ -240,17 +231,13 @@ class OpenLoopMaster(Master):
         pos += 1
         self._pos = pos
         if pos < len(self._times):
-            event = self.sim.schedule_at(
+            self.sim.schedule_at(
                 self._times[pos], self._arrive, priority=Phase.MASTER
             )
         elif self._refill():
-            event = self.sim.schedule_at(
+            self.sim.schedule_at(
                 self._times[0], self._arrive, priority=Phase.MASTER
             )
-        else:
-            event = None  # stream exhausted: nothing pending
-        if self._ff_track:
-            self._pending_arrival = event
 
     # ------------------------------------------------------------------
     # reporting

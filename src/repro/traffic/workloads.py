@@ -109,8 +109,8 @@ def _open_loop_stream(sim, port, base, extent, seed, work) -> Master:
     # external Poisson clock whatever the congestion (open loop), so
     # under regulation they pile up in the port queue instead of
     # self-throttling.  The fast offered rate makes this the
-    # regulation-bound steady-streaming shape the fast-forward engine
-    # targets (and the bench_smoke scenario that measures it).
+    # regulation-bound steady-streaming shape, where a denied head
+    # stays parked while arrivals keep kicking arbitration.
     pattern = SequentialPattern(base, extent, 64)
     requests = None if work is None else max(1, work // 64)
     cfg = OpenLoopConfig(

@@ -128,6 +128,115 @@ class TestRegulatorInteraction:
             reg.bind_port(mini.ports["m0"])
 
 
+class _WindowRegulator(BandwidthRegulator):
+    """Denies every check before ``open_at``; with ``promise`` it
+    guarantees that through ``denied_until`` (the head parks)."""
+
+    def __init__(self, open_at, promise=True):
+        super().__init__()
+        self.open_at = open_at
+        self.promise = promise
+        self.checks = 0
+
+    def may_issue(self, txn, now):
+        self.checks += 1
+        return now >= self.open_at
+
+    def next_opportunity(self, txn, now):
+        return self.open_at
+
+    def denied_until(self, txn, now):
+        return self.open_at if self.promise else now
+
+
+class TestDenialEpisodes:
+    def _run(self, sim, mini, promise):
+        reg = _WindowRegulator(open_at=400, promise=promise)
+        victim = mini.add_port("m0", regulator=reg)
+        other = mini.add_port("m1", max_outstanding=1)
+        heads = []
+        original_head = victim.head
+
+        def spy(want_write=None):
+            heads.append(sim.now)
+            return original_head(want_write)
+
+        victim.head = spy
+        (txn,) = submit(victim, sim)
+        # Serialized traffic on another port: every completion kicks
+        # one more arbitration pass while the victim's head is denied.
+        submit(other, sim, n=12)
+        sim.run()
+        passes = sum(1 for t in heads if t < 400)
+        return txn, reg, victim, passes
+
+    def test_parked_head_counts_one_denial_across_passes(self, sim, mini):
+        txn, reg, victim, passes = self._run(sim, mini, promise=True)
+        assert passes > 1
+        assert txn.accepted == 400
+        assert victim.stats.counter("regulator_denials").value == 1
+        assert reg.checks == 2  # the denial, then the admission at 400
+        assert victim.throttle_intervals() == [(0, 400)]
+
+    def test_without_a_promise_every_pass_asks_again(self, sim, mini):
+        txn, reg, victim, passes = self._run(sim, mini, promise=False)
+        assert txn.accepted == 400
+        assert victim.stats.counter("regulator_denials").value == passes
+        assert reg.checks == passes + 1
+
+    def test_release_unparks(self, sim, mini):
+        reg = _WindowRegulator(open_at=10**6)
+        port = mini.add_port("m0", regulator=reg)
+        (txn,) = submit(port, sim)
+
+        def open_early():
+            reg.open_at = 250
+            reg._release()
+
+        sim.schedule_at(250, open_early)
+        sim.run()
+        assert txn.accepted == 250
+        assert port.stats.counter("regulator_denials").value == 1
+
+
+class _PerChannelRegulator(BandwidthRegulator):
+    """Denies each direction until its own opening cycle (promised)."""
+
+    def __init__(self, read_open, write_open):
+        super().__init__()
+        self.open_at = {False: read_open, True: write_open}
+
+    def may_issue(self, txn, now):
+        return now >= self.open_at[txn.is_write]
+
+    def next_opportunity(self, txn, now):
+        return self.open_at[txn.is_write]
+
+    def denied_until(self, txn, now):
+        return self.open_at[txn.is_write]
+
+
+class TestSplitChannelParking:
+    def test_parked_queue_rearms_a_retry_the_other_queue_used(self, sim, mini):
+        """AR's retry at 100 absorbs AW's (deduplicated) retry at 300;
+        once it fires, the parked AW queue must re-arm its own kick, as
+        a fresh denial on that pass would have."""
+        port = MasterPort(
+            sim,
+            PortConfig(name="m0", split_channels=True),
+            regulator=_PerChannelRegulator(read_open=100, write_open=300),
+        )
+        mini.interconnect.attach_port(port)
+        read = Transaction(master="m0", is_write=False, addr=0, burst_len=4)
+        write = Transaction(master="m0", is_write=True, addr=64, burst_len=4)
+        port.submit(read)
+        port.submit(write)
+        sim.run()
+        assert read.accepted == 100
+        assert write.accepted == 300
+        assert port.stats.counter("regulator_denials").value == 2
+
+
 class _EveryOtherRegulator(BandwidthRegulator):
     """Denies the first admission check of every transaction, allowing
     the retry 10 cycles later -- one ~10-cycle throttle interval per

@@ -156,7 +156,7 @@ class TestNextAvailableEdges:
 
 
 class TestHorizon:
-    """The pure boundary probe the fast-forward engine leans on."""
+    """The pure refill-boundary probe behind ``denied_until``."""
 
     def test_first_boundary_strictly_after_now(self):
         tb = TokenBucket(100, 10, 50)

@@ -10,6 +10,7 @@ import asyncio
 import json
 import socket
 import threading
+import time
 
 import pytest
 
@@ -73,8 +74,13 @@ def served(tmp_path, monkeypatch):
         runner.close()
 
 
-def subscribe(sock, out, **kwargs):
-    """Collect watch messages on a background thread."""
+def subscribe(sock, server, out, **kwargs):
+    """Collect watch messages on a background thread.
+
+    Returns once the server has registered the subscription, so a run
+    requested next cannot start (or finish) before the watcher is in.
+    """
+    registered = server.stats.watches + 1
 
     def main():
         for message in iter_watch(sock, timeout=60, **kwargs):
@@ -82,6 +88,9 @@ def subscribe(sock, out, **kwargs):
 
     thread = threading.Thread(target=main)
     thread.start()
+    deadline = time.monotonic() + 30
+    while server.stats.watches < registered and time.monotonic() < deadline:
+        time.sleep(0.005)
     return thread
 
 
@@ -89,7 +98,7 @@ class TestWatchOp:
     def test_streams_frames_from_inflight_run(self, served):
         sock, server = served
         messages = []
-        watcher = subscribe(sock, messages, max_frames=3)
+        watcher = subscribe(sock, server, messages, max_frames=3)
         request_runs(sock, [watch_spec(seed=11)], timeout=120)
         watcher.join(timeout=60)
         assert not watcher.is_alive()
@@ -105,10 +114,10 @@ class TestWatchOp:
         assert server.stats.frames >= 3
 
     def test_probe_filter_restricts_values(self, served):
-        sock, _server = served
+        sock, server = served
         messages = []
         watcher = subscribe(
-            sock, messages, probes=["port/*/bytes"], max_frames=2
+            sock, server, messages, probes=["port/*/bytes"], max_frames=2
         )
         request_runs(sock, [watch_spec(seed=12)], timeout=120)
         watcher.join(timeout=60)
@@ -119,9 +128,9 @@ class TestWatchOp:
             assert all(n.endswith("/bytes") for n in frame["values"])
 
     def test_unbounded_watch_ends_with_the_run(self, served):
-        sock, _server = served
+        sock, server = served
         messages = []
-        watcher = subscribe(sock, messages, max_frames=None)
+        watcher = subscribe(sock, server, messages, max_frames=None)
         request_runs(sock, [watch_spec(seed=13)], timeout=120)
         watcher.join(timeout=60)
         assert not watcher.is_alive(), "watch must end on the run's end event"
@@ -129,10 +138,10 @@ class TestWatchOp:
         assert any(m.get("event") == "frame" for m in messages)
 
     def test_probe_list_reflects_last_run(self, served):
-        sock, _server = served
+        sock, server = served
         assert probe_list(sock) == []
         messages = []
-        watcher = subscribe(sock, messages, max_frames=1)
+        watcher = subscribe(sock, server, messages, max_frames=1)
         request_runs(sock, [watch_spec(seed=14)], timeout=120)
         watcher.join(timeout=60)
         listed = probe_list(sock)
