@@ -12,7 +12,6 @@ Run:  python examples/quickstart.py
 """
 
 from repro import RegulatorSpec, run_experiment, slowdown, zcu102
-from repro.telemetry import MetricsRegistry, use_registry
 
 
 def describe(tag, result, solo_runtime):
@@ -47,11 +46,7 @@ def main():
     spec = RegulatorSpec(
         kind="tightly_coupled", window_cycles=256, budget_bytes=410
     )
-    # Force the telemetry registry on for this run so the summary
-    # below is populated regardless of REPRO_TELEMETRY.
-    metrics = MetricsRegistry(enabled=True)
-    with use_registry(metrics):
-        regulated = run_experiment(zcu102(num_accels=4, accel_regulator=spec))
+    regulated = run_experiment(zcu102(num_accels=4, accel_regulator=spec))
     describe("tightly-coupled", regulated, solo_runtime)
 
     print("The regulator bounds each hog to its reservation, so the")
@@ -59,8 +54,10 @@ def main():
     print("still consume a controlled share of the DRAM bandwidth.")
 
     print()
-    print("=== Telemetry: metrics of the regulated run ===")
-    print(metrics.format_summary(limit=20))
+    print("=== Probes: end-of-run snapshot of the regulated run ===")
+    probes = regulated.platform.probes
+    for name, value in list(probes.snapshot().items())[:20]:
+        print(f"  {name:<32} {value} {probes.get(name).unit}")
 
 
 if __name__ == "__main__":

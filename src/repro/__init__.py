@@ -95,14 +95,11 @@ from repro.runner import (
     resolve_workers,
 )
 from repro.telemetry import (
-    MetricsRegistry,
     PhaseProfiler,
     RunnerTelemetry,
     TraceEventSink,
     export_platform_trace,
-    get_registry,
     profile_experiment,
-    use_registry,
 )
 from repro.analysis.metrics import (
     isolation_error,
@@ -206,14 +203,11 @@ __all__ = [
     "execute_spec",
     "resolve_workers",
     # telemetry
-    "MetricsRegistry",
     "PhaseProfiler",
     "RunnerTelemetry",
     "TraceEventSink",
     "export_platform_trace",
-    "get_registry",
     "profile_experiment",
-    "use_registry",
     # analysis
     "isolation_error",
     "regulation_error",

@@ -53,7 +53,6 @@ class Bridge:
         self.stats = StatSet(f"{port.name}.bridge")
         # Pre-resolved collectors: enqueue() runs once per transaction.
         self._stat_forwarded = self.stats.counter("forwarded")
-        self._samp_occupancy = self.stats.sampler("occupancy")
         self._upstream = None
         self._parents: Dict[int, Transaction] = {}
         if port.on_response is not None:
@@ -81,7 +80,6 @@ class Bridge:
         )
         self._parents[child.txn_id] = txn
         self._stat_forwarded.add()
-        self._samp_occupancy.record(len(self._parents))
         self.port.submit(child)
 
     # ------------------------------------------------------------------

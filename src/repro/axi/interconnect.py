@@ -23,7 +23,6 @@ from repro.sim.stats import StatSet
 from repro.axi.arbiter import Arbiter, make_arbiter
 from repro.axi.port import MasterPort
 from repro.axi.txn import Transaction
-from repro.telemetry.registry import get_registry
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,9 @@ class Interconnect:
         self.ports: List[MasterPort] = []
         self._ports_by_name = {}
         self.stats = StatSet("interconnect")
-        # Pre-resolved collectors: one update per accepted transaction.
+        # Pre-resolved collectors: one update per arbitration pass or
+        # accepted transaction.
+        self._stat_arb_passes = self.stats.counter("arb_passes")
         self._stat_accepted = self.stats.counter("accepted")
         self._stat_accepted_bytes = self.stats.counter("accepted_bytes")
         self._memory = None  # set by attach_memory
@@ -86,9 +87,6 @@ class Interconnect:
         else:
             self._next_free = {None: 0}
         self._arb_scheduled_at: Optional[int] = None
-        registry = get_registry()
-        self._tm_passes = registry.counter("interconnect_arb_passes")
-        self._tm_accepted = registry.counter("interconnect_accepted")
 
     # ------------------------------------------------------------------
     # wiring
@@ -126,7 +124,7 @@ class Interconnect:
 
     def _arbitrate(self) -> None:
         self._arb_scheduled_at = None
-        self._tm_passes.inc()
+        self._stat_arb_passes.add()
         now = self.sim.now
         progressed = False
         for direction, free_at in self._next_free.items():
@@ -169,7 +167,6 @@ class Interconnect:
         txn = self.ports[winner].accept_head(want_write=chosen.is_write)
         self._stat_accepted.add()
         self._stat_accepted_bytes.add(txn.nbytes)
-        self._tm_accepted.inc()
         self._next_free[direction] = now + self.config.addr_cycles
         if self._memory is None:
             raise ProtocolError("no memory controller attached")

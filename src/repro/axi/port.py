@@ -24,7 +24,6 @@ from repro.sim.kernel import Phase, Simulator
 from repro.sim.stats import StatSet
 from repro.sim.trace import TraceRecord, TraceRecorder
 from repro.axi.txn import Transaction
-from repro.telemetry.registry import get_registry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.regulation.base import BandwidthRegulator
@@ -137,21 +136,6 @@ class MasterPort:
         self._stat_denials = self.stats.counter("regulator_denials")
         self._samp_queueing = self.stats.sampler("queueing_delay")
         self._samp_latency = self.stats.sampler("latency")
-        # Process-wide telemetry handles (shared null no-ops when
-        # REPRO_TELEMETRY=off), resolved once per port like the
-        # StatSet collectors above.
-        registry = get_registry()
-        self._tm_issued = registry.counter("axi_txn_issued", master=self.name)
-        self._tm_accepted = registry.counter("axi_txn_accepted", master=self.name)
-        self._tm_completed = registry.counter(
-            "axi_txn_completed", master=self.name
-        )
-        self._tm_denials = registry.counter(
-            "regulator_throttle_stalls", master=self.name
-        )
-        self._tm_outstanding = registry.histogram(
-            "axi_outstanding_depth", master=self.name
-        )
         # Closed throttle intervals (start, end): spans during which
         # the head-of-line transaction was held back by the regulator.
         # Ring-bounded by config.throttle_log_limit; read through
@@ -194,7 +178,6 @@ class MasterPort:
         self._queue_for(txn).append(txn)
         self._queued += 1
         self._stat_submitted.add()
-        self._tm_issued.inc()
         self._interconnect.kick()
 
     def _queue_for(self, txn: Transaction) -> Deque[Transaction]:
@@ -280,7 +263,6 @@ class MasterPort:
         if regulator.may_issue(txn, now):
             return True
         self._stat_denials.add()
-        self._tm_denials.inc()
         if self._throttle_since is None:
             self._throttle_since = now
         retry = regulator.next_opportunity(txn, now)
@@ -310,8 +292,6 @@ class MasterPort:
                 self._append_throttle(self._throttle_since, self.sim.now)
                 self._throttle_since = None
         self._stat_accepted.add()
-        self._tm_accepted.inc()
-        self._tm_outstanding.observe(self._outstanding)
         self._samp_queueing.record(txn.accepted - txn.issued)
         return txn
 
@@ -324,7 +304,6 @@ class MasterPort:
         now = self.sim.now
         txn.mark_completed(now)
         self._stat_completed.add()
-        self._tm_completed.inc()
         self._stat_bytes.add(txn.nbytes)
         latency = txn.latency
         self.last_latency = latency

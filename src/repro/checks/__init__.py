@@ -1,15 +1,14 @@
 """Correctness tooling: the invariant lint engine and runtime sanitizer.
 
 The reproduction's headline claim -- bit-identical QoS results across
-worker counts, sanitizer and telemetry on/off -- rests on
+worker counts, sanitizer and probe sampling on/off -- rests on
 invariants nothing in the language enforces: all randomness flows
-through seeded :mod:`repro.sim.rng` streams, kernel hot paths stay
-allocation-free, telemetry handles are bound at construction.  This
-package enforces them mechanically:
+through seeded :mod:`repro.sim.rng` streams and kernel hot paths stay
+allocation-free.  This package enforces them mechanically:
 
-* :mod:`repro.checks.lint` -- an AST-based lint engine with five rule
-  families (DET determinism, HOT hot-path discipline, TEL telemetry
-  discipline, ERR error hygiene, API surface hygiene), inline
+* :mod:`repro.checks.lint` -- an AST-based lint engine with four rule
+  families (DET determinism, HOT hot-path discipline, ERR error
+  hygiene, API surface hygiene), inline
   ``# repro: allow[RULE]`` suppressions and a baseline file for
   grandfathered findings.  Run it with ``repro check lint src/``.
 * :mod:`repro.checks.sanitize` -- a runtime event-queue sanitizer

@@ -15,7 +15,7 @@ runs every registered rule, and applies the two escape hatches:
   reported as baselined, new ones fail.
 
 Module-level policy markers (``# repro: config-layer``) and function
-anchors (``# repro: hot``, ``# repro: telemetry-bind``) are parsed
+anchors (``# repro: hot``, ``# repro: claim-protocol``) are parsed
 here once and exposed on the context so rules stay declarative.
 """
 
@@ -41,7 +41,7 @@ _MARKER_RE = re.compile(r"#\s*repro:\s*([a-z][a-z-]*)\s*(?:$|[^[])")
 #: ``claim-protocol`` marks a function whose shared-state writes go
 #: through an atomic claim (O_EXCL file, exclusive mkdir) -- see the
 #: CONC rules in :mod:`repro.checks.rules.conc`.
-FUNCTION_ANCHORS = ("hot", "telemetry-bind", "claim-protocol")
+FUNCTION_ANCHORS = ("hot", "claim-protocol")
 
 
 @dataclass

@@ -9,14 +9,12 @@ Importing this package registers every rule in
 * ``HOT`` -- hot-path discipline inside ``# repro: hot`` functions:
   no comprehensions, closures, ``**`` fan-out, or repeated attribute
   chains in loops (:mod:`.hot`).
-* ``TEL`` -- telemetry discipline: handles bound at construction,
-  literal label sets (:mod:`.tel`).
 * ``ERR`` -- error hygiene: raise :mod:`repro.errors` types, not
   blanket builtins (:mod:`.err`).
 * ``API`` -- surface hygiene: no wildcard imports, no mutable
   default arguments (:mod:`.api`).
 """
 
-from repro.checks.rules import api, det, err, hot, tel
+from repro.checks.rules import api, det, err, hot
 
-__all__ = ["api", "det", "err", "hot", "tel"]
+__all__ = ["api", "det", "err", "hot"]

@@ -31,7 +31,6 @@ from repro.axi.txn import Transaction
 from repro.dram.address_map import AddressMap
 from repro.dram.bank import Bank
 from repro.dram.timing import DramTiming
-from repro.telemetry.registry import get_registry
 
 
 @dataclass(frozen=True)
@@ -129,9 +128,10 @@ class DramController:
         self.stats = StatSet("dram")
         # Pre-resolved collectors: enqueue/_service run once per
         # request, so the StatSet name lookups are hoisted out of them.
+        # Every counter exists from construction on, so the probe map
+        # built with the platform sees all of them.
         stats = self.stats
         self._stat_enqueued = stats.counter("enqueued")
-        self._samp_queue_depth = stats.sampler("queue_depth")
         self._stat_posted = stats.counter("posted_writes")
         self._stat_row = {
             kind: stats.counter(f"row_{kind}")
@@ -140,7 +140,8 @@ class DramController:
         self._stat_turnarounds = stats.counter("turnarounds")
         self._stat_serviced = stats.counter("serviced")
         self._stat_bytes = stats.counter("bytes")
-        self._samp_service_time = stats.sampler("service_time")
+        self._stat_bypasses = stats.counter("frfcfs_bypasses")
+        self._stat_refreshes = stats.counter("refreshes")
         self._queue: List[_QueueEntry] = []
         self._upstream = None
         self._bus_free_at = 0
@@ -153,19 +154,6 @@ class DramController:
         self._busy_cycles = 0
         self._buffered_writes = 0
         self._sched_scheduled_at: Optional[int] = None
-        # Process-wide telemetry handles (null no-ops when disabled),
-        # resolved once per controller; _service updates the matching
-        # kind counter through this dict without a registry lookup.
-        registry = get_registry()
-        self._tm_row = {
-            kind: registry.counter("dram_row_access", kind=kind)
-            for kind in ("hit", "miss", "conflict")
-        }
-        self._tm_serviced = registry.counter("dram_serviced")
-        self._tm_bytes = registry.counter("dram_bytes")
-        self._tm_refreshes = registry.counter("dram_refreshes")
-        self._tm_turnarounds = registry.counter("dram_turnarounds")
-        self._tm_queue_depth = registry.histogram("dram_queue_depth")
         if self.config.refresh_enabled and self.timing.t_refi > 0:
             self.sim.schedule(
                 self.timing.t_refi, self._refresh, priority=Phase.MEMORY,
@@ -196,8 +184,6 @@ class DramController:
             _QueueEntry(txn, self.sim.now, bank, row, posted=posted)
         )
         self._stat_enqueued.add()
-        self._samp_queue_depth.record(len(self._queue))
-        self._tm_queue_depth.observe(len(self._queue))
         if posted:
             # The write buffer acknowledges immediately; the drain to
             # the device stays queued.
@@ -271,7 +257,7 @@ class DramController:
         if oldest.bypasses >= self.config.frfcfs_cap:
             return oldest
         oldest.bypasses += 1
-        self.stats.counter("frfcfs_bypasses").add()
+        self._stat_bypasses.add()
         return best_hit
 
     def _service(self, entry: _QueueEntry, now: int) -> None:
@@ -279,7 +265,6 @@ class DramController:
         bank = self.banks[entry.bank]
         kind = bank.classify(entry.row)
         self._stat_row[kind].add()
-        self._tm_row[kind].inc()
 
         cmd_start = max(now, bank.ready_at())
         data_ready = bank.perform_access(entry.row, cmd_start, self.timing)
@@ -290,7 +275,6 @@ class DramController:
         if self._last_was_write is not None and self._last_was_write != txn.is_write:
             bus_start += self.timing.rw_turnaround
             self._stat_turnarounds.add()
-            self._tm_turnarounds.inc()
         data_cycles = self.timing.data_cycles(txn.burst_len)
         bus_end = bus_start + data_cycles
 
@@ -300,9 +284,6 @@ class DramController:
         self._busy_cycles += data_cycles
         self._stat_serviced.add()
         self._stat_bytes.add(txn.nbytes)
-        self._tm_serviced.inc()
-        self._tm_bytes.inc(txn.nbytes)
-        self._samp_service_time.record(bus_end - entry.arrival)
 
         if entry.posted:
             # Drain of an already-acknowledged write: free the buffer
@@ -336,8 +317,7 @@ class DramController:
         self._pick_free_at = max(self._pick_free_at, refresh_end)
         for bank in self.banks:
             bank._ready_at = max(bank.ready_at(), refresh_end)
-        self.stats.counter("refreshes").add()
-        self._tm_refreshes.inc()
+        self._stat_refreshes.add()
         self.sim.schedule(
             self.timing.t_refi, self._refresh, priority=Phase.MEMORY, daemon=True
         )

@@ -10,7 +10,7 @@ function.
 
 Reads are **pull-based and allocation-free**: each read function is a
 pre-bound callable resolved once at registration (the same discipline
-the ``# repro: hot`` lint enforces for telemetry handles), so sampling
+components follow for their ``StatSet`` handles), so sampling
 a probe set costs one call and one list store per probe -- no dict
 building, no attribute re-lookup chains, no string formatting.
 
@@ -18,9 +18,17 @@ Naming scheme (see ``docs/observability.md``):
 
 * ``kernel/<metric>`` -- simulation kernel counters;
 * ``dram/<metric>`` -- memory controller;
+* ``interconnect/<metric>`` -- the AXI crossbar;
 * ``port/<master>/<metric>`` -- AXI master ports;
 * ``reg/<master>/<metric>`` -- bandwidth regulators;
 * ``mon/<master>/<metric>`` -- the regulator's windowed monitor.
+
+Every ``StatSet`` counter of the DRAM controller, the interconnect
+and each port is registered automatically under its own name
+(``dram/row_hit``, ``interconnect/arb_passes``,
+``port/<master>/regulator_denials``), so a component counts in one
+place and the count is read by name in one place.  The end-of-run
+metrics summary is ``platform.probes.snapshot()``.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from typing import (
 from repro.errors import ProbeError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.sim.stats import StatSet
     from repro.soc.platform import Platform
 
 ReadFn = Callable[[], Any]
@@ -54,9 +63,9 @@ class Probe:
         read: Zero-argument callable returning the current value.
         unit: Unit of the value (``cycles``, ``bytes``, ``txns``, ...).
         master: Owning master name, or ``None`` for platform-wide
-            probes (kernel, DRAM).
+            probes (kernel, DRAM, interconnect).
         channel: Component group the probe belongs to (``kernel``,
-            ``dram``, ``port``, ``reg``, ``mon``).
+            ``dram``, ``interconnect``, ``port``, ``reg``, ``mon``).
     """
 
     __slots__ = ("addr", "name", "read", "unit", "master", "channel")
@@ -229,10 +238,43 @@ def _register_kernel(probes: ProbeMap, platform: "Platform") -> None:
     )
 
 
+#: Units of auto-registered StatSet counters; any other counter
+#: counts transactions.
+_COUNTER_UNITS = {
+    "bytes": "bytes",
+    "accepted_bytes": "bytes",
+    "regulator_denials": "episodes",
+    "arb_passes": "passes",
+    "turnarounds": "turnarounds",
+    "frfcfs_bypasses": "bypasses",
+    "refreshes": "refreshes",
+}
+
+
+def _register_counters(
+    probes: ProbeMap,
+    prefix: str,
+    stats: "StatSet",
+    channel: str,
+    master: Optional[str] = None,
+) -> None:
+    """Register every counter of ``stats`` as ``<prefix>/<counter>``.
+
+    A probe's name is its counter's name, so each counted quantity
+    is readable under exactly one probe.
+    """
+    for name, counter in stats.counters().items():
+        probes.register(
+            f"{prefix}/{name}",
+            lambda counter=counter: counter.value,
+            unit=_COUNTER_UNITS.get(name, "txns"),
+            master=master,
+            channel=channel,
+        )
+
+
 def _register_dram(probes: ProbeMap, platform: "Platform") -> None:
     dram = platform.dram
-    stat_serviced = dram.stats.counter("serviced")
-    stat_bytes = dram.stats.counter("bytes")
     probes.register(
         "dram/queue_depth", lambda: dram.queue_depth,
         unit="txns", channel="dram",
@@ -242,23 +284,13 @@ def _register_dram(probes: ProbeMap, platform: "Platform") -> None:
         unit="cycles", channel="dram",
     )
     probes.register(
-        "dram/serviced", lambda: stat_serviced.value,
-        unit="txns", channel="dram",
-    )
-    probes.register(
-        "dram/bytes", lambda: stat_bytes.value,
-        unit="bytes", channel="dram",
-    )
-    probes.register(
         "dram/row_hit_rate", dram.row_hit_rate,
         unit="ratio", channel="dram",
     )
+    _register_counters(probes, "dram", dram.stats, "dram")
 
 
 def _register_port(probes: ProbeMap, name: str, port: Any) -> None:
-    stat_completed = port.stats.counter("completed")
-    stat_bytes = port.stats.counter("bytes")
-    stat_denials = port.stats.counter("regulator_denials")
     probes.register(
         f"port/{name}/queue_depth", lambda: port.queue_depth,
         unit="txns", master=name, channel="port",
@@ -266,18 +298,6 @@ def _register_port(probes: ProbeMap, name: str, port: Any) -> None:
     probes.register(
         f"port/{name}/outstanding", lambda: port.outstanding,
         unit="txns", master=name, channel="port",
-    )
-    probes.register(
-        f"port/{name}/completed", lambda: stat_completed.value,
-        unit="txns", master=name, channel="port",
-    )
-    probes.register(
-        f"port/{name}/bytes", lambda: stat_bytes.value,
-        unit="bytes", master=name, channel="port",
-    )
-    probes.register(
-        f"port/{name}/denials", lambda: stat_denials.value,
-        unit="episodes", master=name, channel="port",
     )
     probes.register(
         f"port/{name}/last_latency", lambda: port.last_latency,
@@ -288,6 +308,7 @@ def _register_port(probes: ProbeMap, name: str, port: Any) -> None:
         lambda: port.throttle_cycles_at(port.sim.now),
         unit="cycles", master=name, channel="port",
     )
+    _register_counters(probes, f"port/{name}", port.stats, "port", master=name)
 
 
 def _register_regulator(probes: ProbeMap, name: str, reg: Any) -> None:
@@ -328,6 +349,22 @@ def _register_regulator(probes: ProbeMap, name: str, reg: Any) -> None:
             f"reg/{name}/injected_bytes", lambda: reg.injected_bytes,
             unit="bytes", master=name, channel="reg",
         )
+    if hasattr(reg, "injected_transactions"):
+        probes.register(
+            f"reg/{name}/injected_transactions",
+            lambda: reg.injected_transactions,
+            unit="txns", master=name, channel="reg",
+        )
+    if hasattr(reg, "window_resets"):
+        probes.register(
+            f"reg/{name}/window_resets", lambda: reg.window_resets,
+            unit="windows", master=name, channel="reg",
+        )
+    if hasattr(reg, "interrupt_count"):
+        probes.register(
+            f"reg/{name}/interrupt_count", lambda: reg.interrupt_count,
+            unit="interrupts", master=name, channel="reg",
+        )
     monitor = getattr(reg, "monitor", None)
     if monitor is not None:
         probes.register(
@@ -350,12 +387,15 @@ def build_probe_map(platform: "Platform") -> ProbeMap:
     Called by :class:`~repro.soc.platform.Platform` at the end of
     construction; the result is exposed as ``platform.probes``.
     Registration order (and therefore addressing) is deterministic:
-    kernel, DRAM, then per-master port/regulator/monitor probes in
-    config order.
+    kernel, DRAM, interconnect, then per-master port/regulator/monitor
+    probes in config order.
     """
     probes = ProbeMap()
     _register_kernel(probes, platform)
     _register_dram(probes, platform)
+    _register_counters(
+        probes, "interconnect", platform.interconnect.stats, "interconnect"
+    )
     for spec in platform.config.masters:
         name = spec.name
         _register_port(probes, name, platform.ports[name])

@@ -27,7 +27,6 @@ from typing import Optional, TYPE_CHECKING
 
 from repro.errors import RegulationError
 from repro.axi.txn import Transaction
-from repro.telemetry.registry import NULL_COUNTER, get_registry
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.axi.port import MasterPort
@@ -40,33 +39,15 @@ class BandwidthRegulator:
         self.port: Optional["MasterPort"] = None
         self.charged_bytes = 0
         self.charged_transactions = 0
-        # Telemetry handles; label resolution needs the port name, so
-        # the real handles are bound in bind_port.  Until then (and
-        # whenever telemetry is off) they are shared no-ops.
-        self._tm_grants = NULL_COUNTER
-        self._tm_granted_bytes = NULL_COUNTER
-        self._tm_window_resets = NULL_COUNTER
 
     # ------------------------------------------------------------------
     # wiring
     # ------------------------------------------------------------------
-    # repro: telemetry-bind -- one-time handle creation at wiring time
     def bind_port(self, port: "MasterPort") -> None:
         """Attach to the port this regulator polices."""
         if self.port is not None:
             raise RegulationError("regulator bound to two ports")
         self.port = port
-        registry = get_registry()
-        policy = type(self).__name__
-        self._tm_grants = registry.counter(
-            "regulator_grants", master=port.name, policy=policy
-        )
-        self._tm_granted_bytes = registry.counter(
-            "regulator_granted_bytes", master=port.name, policy=policy
-        )
-        self._tm_window_resets = registry.counter(
-            "regulator_window_resets", master=port.name, policy=policy
-        )
         self._on_bind(port)
 
     def _on_bind(self, port: "MasterPort") -> None:
@@ -87,8 +68,6 @@ class BandwidthRegulator:
         """
         self.charged_bytes += txn.nbytes
         self.charged_transactions += 1
-        self._tm_grants.inc()
-        self._tm_granted_bytes.inc(txn.nbytes)
 
     def next_opportunity(self, txn: Transaction, now: int) -> int:
         """Earliest cycle a denied transaction could be admitted."""

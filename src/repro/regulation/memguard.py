@@ -37,7 +37,6 @@ from repro.sim.kernel import Phase, Simulator
 from repro.axi.port import MasterPort
 from repro.axi.txn import Transaction
 from repro.regulation.base import BandwidthRegulator
-from repro.telemetry.registry import NULL_COUNTER, get_registry
 
 
 class ReclaimPool:
@@ -155,18 +154,13 @@ class MemGuardRegulator(BandwidthRegulator):
         self.reconfig_count = 0
         self.reclaimed_bytes = 0
         self._period_start = 0
-        self._tm_interrupts = NULL_COUNTER
 
     # ------------------------------------------------------------------
     # wiring
     # ------------------------------------------------------------------
-    # repro: telemetry-bind -- one-time handle creation at wiring time
     def _on_bind(self, port: MasterPort) -> None:
         # The PMU counts actual data-bus traffic of this master.
         port.beat_observers.append(self._pmu_observe)
-        self._tm_interrupts = get_registry().counter(
-            "memguard_interrupts", master=port.name
-        )
         self.sim.schedule(
             self.config.period_cycles, self._period_tick,
             priority=Phase.REGULATOR, daemon=True,
@@ -196,7 +190,6 @@ class MemGuardRegulator(BandwidthRegulator):
     def _overflow_interrupt(self) -> None:
         self._interrupt_pending = False
         self.interrupt_count += 1
-        self._tm_interrupts.inc()
         self.overhead_cycles += self.config.interrupt_overhead
         # The period may have rolled over while the IRQ was in flight;
         # in that case the budget was reloaded and no stall happens.
@@ -228,7 +221,6 @@ class MemGuardRegulator(BandwidthRegulator):
             self._pending_budget = None
             self.reconfig_count += 1
         self.tick_count += 1
-        self._tm_window_resets.inc()
         self.overhead_cycles += self.config.tick_overhead
         self.sim.schedule(
             self.config.period_cycles, self._period_tick,
@@ -277,6 +269,11 @@ class MemGuardRegulator(BandwidthRegulator):
     @property
     def period_cycles(self) -> int:
         return self.config.period_cycles
+
+    @property
+    def window_resets(self) -> int:
+        """Budget periods started so far (one tick each)."""
+        return self.tick_count
 
     @property
     def throttled(self) -> bool:

@@ -45,7 +45,6 @@ from repro.axi.txn import Transaction
 from repro.monitor.window import WindowedBandwidthMonitor
 from repro.regulation.base import BandwidthRegulator
 from repro.regulation.token_bucket import TokenBucket
-from repro.telemetry.registry import NULL_COUNTER, NULL_GAUGE, get_registry
 
 
 @dataclass(frozen=True)
@@ -165,36 +164,14 @@ class TightlyCoupledRegulator(BandwidthRegulator):
         self._inject_txn_id: Optional[int] = None
         self.injected_bytes = 0
         self.injected_transactions = 0
-        self._tm_injections = NULL_COUNTER
-        self._tm_budget = NULL_GAUGE
-        self._resets_reported = 0
 
     # ------------------------------------------------------------------
     # wiring
     # ------------------------------------------------------------------
-    # repro: telemetry-bind -- one-time handle creation at wiring time
     def _on_bind(self, port: MasterPort) -> None:
         # The IP's monitor half: per-window byte counts of the very
         # traffic it regulates.
         self.monitor = WindowedBandwidthMonitor(port, self.config.window_cycles)
-        registry = get_registry()
-        self._tm_injections = registry.counter(
-            "regulator_injections", master=port.name
-        )
-        self._tm_budget = registry.gauge(
-            "regulator_budget_bytes", master=port.name
-        )
-        self._tm_budget.set(self._budget_bytes)
-        # Window boundaries are lazy (applied inside the token bucket
-        # when time advances), so the reset counter is settled at run
-        # end instead of being pushed per boundary.
-        self.sim.add_finalizer(self._report_window_resets)
-
-    def _report_window_resets(self, _now: int) -> None:
-        delta = self._bucket.refills - self._resets_reported
-        if delta > 0:
-            self._tm_window_resets.inc(delta)
-            self._resets_reported = self._bucket.refills
 
     # ------------------------------------------------------------------
     # admission
@@ -264,7 +241,6 @@ class TightlyCoupledRegulator(BandwidthRegulator):
             self._inject_txn_id = None
             self.injected_bytes += txn.nbytes
             self.injected_transactions += 1
-            self._tm_injections.inc()
             return
         # Signed credit counter: oversize or overdrawn bursts leave a
         # debt that future window refills repay first.
@@ -333,7 +309,6 @@ class TightlyCoupledRegulator(BandwidthRegulator):
                 self.sim.now, capacity=capacity, refill_amount=budget_bytes
             )
             self.reconfig_count += 1
-            self._tm_budget.set(budget_bytes)
             self._release()
 
         self.sim.schedule_at(effective_at, apply, priority=Phase.CONTROL)
@@ -350,6 +325,16 @@ class TightlyCoupledRegulator(BandwidthRegulator):
     @property
     def window_cycles(self) -> int:
         return self.config.window_cycles
+
+    @property
+    def window_resets(self) -> int:
+        """Window boundaries the credit counter has applied so far.
+
+        Boundaries are applied lazily, when the bucket is next
+        consulted, so a mid-run read may trail ``now`` by the windows
+        since the last admission check.
+        """
+        return self._bucket.refills
 
     def tokens_now(self) -> int:
         """Credit available this cycle (true, not delayed, view)."""

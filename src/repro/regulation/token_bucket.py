@@ -56,8 +56,8 @@ class TokenBucket:
         self.refill_period = refill_period
         self._tokens = capacity if initial is None else initial
         self._last_refill = start
-        #: Whole refill periods applied so far (telemetry: each period
-        #: boundary is one "window reset" of the owning regulator).
+        #: Whole refill periods applied so far (each period boundary
+        #: is one "window reset" of the owning regulator).
         self.refills = 0
 
     # ------------------------------------------------------------------

@@ -280,8 +280,8 @@ class Simulator:
         Combines the simulator's clock and dispatch count with the
         heap's cold-path counters (see ``EventQueue.stats``);
         collecting it costs nothing until called, so it is always
-        available -- ``REPRO_TELEMETRY`` gates only the push-style
-        registry, not this.
+        available.  Component counters are read through the platform's
+        probe map instead (:mod:`repro.probes.map`).
         """
         stats: Dict[str, Any] = {
             "now": self._now,

@@ -10,8 +10,11 @@ need:
 * :class:`TimeSeries` -- values bucketed into fixed-width time bins
   (per-window bandwidth).
 
-A :class:`StatSet` groups named collectors per component and renders
-them as a plain dictionary for reporting.
+A :class:`StatSet` groups named collectors per component.  It is the
+one place a component counts: :class:`~repro.soc.experiment.PlatformResult`
+reads its collectors after a run, and the probe map
+(:mod:`repro.probes.map`) registers each of its counters as a named
+probe.
 """
 
 from __future__ import annotations
@@ -214,17 +217,7 @@ class StatSet:
             self._series[name] = TimeSeries(f"{self.owner}.{name}", bin_width)
         return self._series[name]
 
-    def as_dict(self) -> Dict[str, object]:
-        """Flatten all collectors into a report dictionary."""
-        out: Dict[str, object] = {}
-        for name, counter in self._counters.items():
-            out[name] = counter.value
-        for name, sampler in self._samplers.items():
-            out[name] = sampler.summary()
-        for name, series in self._series.items():
-            out[name] = {
-                "bin_width": series.bin_width,
-                "total": series.total(),
-                "max_bin": series.max_bin(),
-            }
-        return out
+    def counters(self) -> Dict[str, Counter]:
+        """Name -> counter of every counter created so far, in
+        creation order."""
+        return dict(self._counters)

@@ -1,15 +1,14 @@
-"""Observability plane: metrics, logging, profiling, trace export.
+"""Observability plane: logging, profiling, trace export, run reports.
 
 The reproduced paper is about *monitoring tightly coupled to
 regulation*; this package is the equivalent plane for the
-reproduction itself.  Four pieces, all optional and all cheap to
-leave in place:
+reproduction itself.  Component counters are not kept here: each
+component counts once, in its :class:`~repro.sim.stats.StatSet`, and
+the platform's probe map (:mod:`repro.probes.map`) reads every count
+by name -- ``platform.probes.snapshot()`` is the end-of-run metrics
+summary.  The pieces here are all optional and cheap to leave in
+place:
 
-* :mod:`repro.telemetry.registry` -- a process-wide metrics registry
-  (counters / gauges / histograms with labels).  Components grab
-  handles at construction; with ``REPRO_TELEMETRY=off`` every handle
-  is a shared no-op and nanosecond-hot paths are never touched at all
-  (the kernel exposes queue statistics pull-style instead).
 * :mod:`repro.telemetry.log` -- the package logging helper
   (``get_logger``), one stderr handler under the ``repro`` root
   logger, level from ``REPRO_LOG_LEVEL``.
@@ -27,29 +26,15 @@ from repro.telemetry.log import (
 )
 from repro.telemetry.perfetto import TraceEventSink, export_platform_trace
 from repro.telemetry.profiler import PhaseProfiler, profile_experiment
-from repro.telemetry.registry import (
-    TELEMETRY_ENV,
-    MetricsRegistry,
-    get_registry,
-    set_registry,
-    telemetry_enabled,
-    use_registry,
-)
 from repro.telemetry.runreport import RunnerTelemetry, write_runner_report
 
 __all__ = [
     "LOG_LEVEL_ENV",
-    "MetricsRegistry",
     "PhaseProfiler",
     "RunnerTelemetry",
-    "TELEMETRY_ENV",
     "TraceEventSink",
     "export_platform_trace",
     "get_logger",
-    "get_registry",
     "profile_experiment",
-    "set_registry",
-    "telemetry_enabled",
-    "use_registry",
     "write_runner_report",
 ]

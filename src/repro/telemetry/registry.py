@@ -1,48 +1,23 @@
-"""The process-wide metrics registry.
+"""Counter, gauge and histogram handle classes (no longer used by the model).
 
-Every instrumented component (kernel, ports, DRAM controller,
-regulators, runner) obtains *handles* -- :class:`Counter`,
-:class:`Gauge`, :class:`Histogram` -- from a :class:`MetricsRegistry`
-at construction time and updates them on its normal code paths.
-Handles are identified by a metric name plus a frozen label set
-(``counter("axi_completed", master="cpu0")``), so one metric
-aggregates across components while labels keep the per-component
-breakdown.
-
-Overhead discipline (the subsystem's core contract):
-
-* When telemetry is **disabled** (``REPRO_TELEMETRY=off`` or a
-  registry built with ``enabled=False``), every accessor returns a
-  shared *null* handle whose update methods are no-ops.  Components
-  keep a uniform call site; the cost is one no-op method call on
-  transaction-granularity paths only.
-* Nanosecond-granularity paths (the event-queue push/pop loops) are
-  never instrumented push-style at all: the queues maintain a few
-  plain integers on their *cold* branches and the kernel exposes them
-  pull-style via :meth:`repro.sim.kernel.Simulator.kernel_stats`, so
-  the hot loops are byte-identical with telemetry on or off.
-
-The module keeps one default registry per process
-(:func:`get_registry`); tests and tools can swap it with
-:func:`set_registry` or scope it with :func:`use_registry`.
+Components count in their :class:`~repro.sim.stats.StatSet`, and the
+platform's probe map (:mod:`repro.probes.map`) reads those counts by
+name; the process-wide metrics registry these handles came from is
+gone.  The three classes stay only because the benchmark's
+outside-in tracer (``benchmarks/perf/tracer.py``) lists them among its
+patched boundaries and fails to resolve a missing class.  Nothing in
+``src/`` creates them, so they add no calls to a run.  The module
+goes together with those boundary rows in the next change to the
+benchmark.
 """
 
 from __future__ import annotations
 
-# repro: config-layer -- this module resolves environment knobs
-import os
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple, Union
 
 from repro.errors import ConfigError
 
 Number = Union[int, float]
-
-#: Environment variable gating telemetry collection process-wide.
-TELEMETRY_ENV = "REPRO_TELEMETRY"
-
-#: Values of :data:`TELEMETRY_ENV` that disable collection.
-_OFF_VALUES = ("off", "0", "no", "false")
 
 #: Frozen label encoding: sorted ``(key, value)`` pairs.
 LabelKey = Tuple[Tuple[str, str], ...]
@@ -50,16 +25,6 @@ LabelKey = Tuple[Tuple[str, str], ...]
 #: Default histogram bucket upper bounds (powers of two): wide enough
 #: for cycle latencies and queue depths without per-metric tuning.
 DEFAULT_BUCKETS = tuple(1 << i for i in range(1, 21))
-
-
-def telemetry_enabled() -> bool:
-    """True unless ``REPRO_TELEMETRY`` is set to an off value."""
-    value = os.environ.get(TELEMETRY_ENV, "").strip().lower()
-    return value not in _OFF_VALUES or value == ""
-
-
-def _label_key(labels: Dict[str, str]) -> LabelKey:
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
 class Counter:
@@ -184,209 +149,3 @@ class Histogram:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Histogram({self.name}{dict(self.labels)}, n={self.count})"
-
-
-class _NullCounter:
-    """Shared no-op counter handle (telemetry disabled)."""
-
-    __slots__ = ()
-
-    def inc(self, amount: Number = 1) -> None:
-        pass
-
-    def snapshot(self) -> Number:
-        return 0
-
-
-class _NullGauge:
-    """Shared no-op gauge handle (telemetry disabled)."""
-
-    __slots__ = ()
-
-    def set(self, value: Number) -> None:
-        pass
-
-    def inc(self, amount: Number = 1) -> None:
-        pass
-
-    def dec(self, amount: Number = 1) -> None:
-        pass
-
-    def snapshot(self) -> Number:
-        return 0
-
-
-class _NullHistogram:
-    """Shared no-op histogram handle (telemetry disabled)."""
-
-    __slots__ = ()
-
-    def observe(self, value: Number) -> None:
-        pass
-
-    def summary(self) -> Dict[str, float]:
-        return {"count": 0.0, "mean": 0.0, "max": 0.0, "p50": 0.0, "p99": 0.0}
-
-
-#: The singletons every disabled registry hands out.
-NULL_COUNTER = _NullCounter()
-NULL_GAUGE = _NullGauge()
-NULL_HISTOGRAM = _NullHistogram()
-
-
-class MetricsRegistry:
-    """A named family of metric handles with label sets.
-
-    Args:
-        enabled: ``None`` defers to ``REPRO_TELEMETRY``; ``False``
-            makes every accessor return the shared null handles, so
-            instrumented code paths cost one no-op call at most.
-    """
-
-    def __init__(self, enabled: Optional[bool] = None) -> None:
-        self.enabled = telemetry_enabled() if enabled is None else bool(enabled)
-        self._counters: Dict[Tuple[str, LabelKey], Counter] = {}
-        self._gauges: Dict[Tuple[str, LabelKey], Gauge] = {}
-        self._histograms: Dict[Tuple[str, LabelKey], Histogram] = {}
-
-    # ------------------------------------------------------------------
-    # handle accessors
-    # ------------------------------------------------------------------
-    def counter(self, name: str, **labels: str) -> Counter:
-        """The counter handle for ``name`` + ``labels`` (created once)."""
-        if not self.enabled:
-            return NULL_COUNTER
-        key = (name, _label_key(labels))
-        handle = self._counters.get(key)
-        if handle is None:
-            handle = self._counters[key] = Counter(name, key[1])
-        return handle
-
-    def gauge(self, name: str, **labels: str) -> Gauge:
-        """The gauge handle for ``name`` + ``labels`` (created once)."""
-        if not self.enabled:
-            return NULL_GAUGE
-        key = (name, _label_key(labels))
-        handle = self._gauges.get(key)
-        if handle is None:
-            handle = self._gauges[key] = Gauge(name, key[1])
-        return handle
-
-    def histogram(
-        self,
-        name: str,
-        bounds: Sequence[Number] = DEFAULT_BUCKETS,
-        **labels: str,
-    ) -> Histogram:
-        """The histogram handle for ``name`` + ``labels`` (created once).
-
-        ``bounds`` applies on first creation; later calls reuse the
-        existing handle regardless.
-        """
-        if not self.enabled:
-            return NULL_HISTOGRAM
-        key = (name, _label_key(labels))
-        handle = self._histograms.get(key)
-        if handle is None:
-            handle = self._histograms[key] = Histogram(name, key[1], bounds)
-        return handle
-
-    # ------------------------------------------------------------------
-    # reporting
-    # ------------------------------------------------------------------
-    def collect(self) -> Dict[str, List[Dict[str, object]]]:
-        """Snapshot all handles: metric name -> list of label'd values."""
-        out: Dict[str, List[Dict[str, object]]] = {}
-        for (name, labels), counter in sorted(self._counters.items()):
-            out.setdefault(name, []).append(
-                {"labels": dict(labels), "type": "counter",
-                 "value": counter.value}
-            )
-        for (name, labels), gauge in sorted(self._gauges.items()):
-            out.setdefault(name, []).append(
-                {"labels": dict(labels), "type": "gauge", "value": gauge.value}
-            )
-        for (name, labels), hist in sorted(self._histograms.items()):
-            out.setdefault(name, []).append(
-                {"labels": dict(labels), "type": "histogram",
-                 "value": hist.summary()}
-            )
-        return out
-
-    def format_summary(self, limit: Optional[int] = None) -> str:
-        """Human-readable summary, one line per (metric, label set).
-
-        Args:
-            limit: Keep only the first ``limit`` lines (None = all).
-        """
-        lines: List[str] = []
-        for name, entries in self.collect().items():
-            for entry in entries:
-                labels = entry["labels"]
-                tag = (
-                    "{" + ",".join(f"{k}={v}" for k, v in sorted(labels.items())) + "}"
-                    if labels
-                    else ""
-                )
-                value = entry["value"]
-                if entry["type"] == "histogram":
-                    value = (
-                        f"count={value['count']:.0f} mean={value['mean']:.1f} "
-                        f"p99={value['p99']:.0f} max={value['max']:.0f}"
-                    )
-                lines.append(f"{name}{tag} = {value}")
-        if limit is not None:
-            lines = lines[:limit]
-        return "\n".join(lines)
-
-    def reset(self) -> None:
-        """Drop every handle (new handles start from zero).
-
-        Components keep updating their *old* handles after a reset;
-        reset is for process-level tools that rebuild the world (and
-        for tests), not for zeroing live components mid-run.
-        """
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
-
-    def __len__(self) -> int:
-        return len(self._counters) + len(self._gauges) + len(self._histograms)
-
-
-#: The process-wide default registry (lazily built from the env).
-_default: Optional[MetricsRegistry] = None
-
-
-def get_registry() -> MetricsRegistry:
-    """The process-wide default registry (created on first use)."""
-    global _default
-    if _default is None:
-        # Each process owns its own lazily-created singleton: a pool
-        # worker building one is correct isolation, not lost state --
-        # worker-side counters are folded into the returned summary,
-        # never read back through this global.  # repro: allow[CONC001]
-        _default = MetricsRegistry()
-    return _default
-
-
-def set_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Replace the default registry; returns the previous one.
-
-    Components capture handles at construction time, so swap the
-    registry *before* building the platform under measurement.
-    """
-    global _default
-    previous = get_registry()
-    _default = registry
-    return previous
-
-
-@contextmanager
-def use_registry(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
-    """Scope the default registry to a ``with`` block (test helper)."""
-    previous = set_registry(registry)
-    try:
-        yield registry
-    finally:
-        set_registry(previous)

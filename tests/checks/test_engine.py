@@ -131,7 +131,7 @@ class TestDriver:
         ids = [r.id for r in all_rules()]
         assert ids == sorted(ids)
         families = {r.family for r in all_rules()}
-        assert families == {"DET", "HOT", "TEL", "ERR", "API"}
+        assert families == {"DET", "HOT", "ERR", "API"}
 
 
 class TestFrontEnd:

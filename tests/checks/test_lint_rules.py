@@ -204,53 +204,6 @@ class TestHotRules:
         assert rule_ids(result) == ["HOT001"]
 
 
-class TestTelRules:
-    def test_registry_in_handler_flagged(self, tmp_path):
-        result = lint_source(
-            tmp_path,
-            """\
-            class Port:
-                def on_beat(self):
-                    get_registry().counter("beats").inc()
-            """,
-        )
-        assert rule_ids(result) == ["TEL001"]
-        assert "on_beat" in result.findings[0].message
-
-    def test_registry_in_init_allowed(self, tmp_path):
-        result = lint_source(
-            tmp_path,
-            """\
-            class Port:
-                def __init__(self):
-                    self._tm = get_registry().counter("beats", master="a")
-            """,
-        )
-        assert rule_ids(result) == []
-
-    def test_registry_in_telemetry_bind_hook_allowed(self, tmp_path):
-        result = lint_source(
-            tmp_path,
-            """\
-            class Regulator:
-                # repro: telemetry-bind
-                def bind(self, port):
-                    self._tm = get_registry().counter("grants")
-            """,
-        )
-        assert rule_ids(result) == []
-
-    def test_label_fanout_flagged(self, tmp_path):
-        result = lint_source(
-            tmp_path,
-            """\
-            def bind(registry, labels):
-                return registry.counter("grants", **labels)
-            """,
-        )
-        assert rule_ids(result) == ["TEL002"]
-
-
 class TestErrRules:
     def test_blanket_raise_flagged(self, tmp_path):
         result = lint_source(

@@ -54,7 +54,7 @@ class TestCheckCli:
     def test_list_rules(self, capsys):
         assert main(["check", "lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("DET001", "HOT004", "TEL001", "ERR001", "API002"):
+        for rule_id in ("DET001", "HOT004", "ERR001", "API002"):
             assert rule_id in out
 
     def test_unparseable_file_exits_two(self, tmp_path, capsys, monkeypatch):

@@ -134,12 +134,14 @@ class TestStatSet:
         ss.counter("a").add(4)
         assert ss.counter("a").value == 7
 
-    def test_as_dict_flattens(self):
+    def test_counters_in_creation_order(self):
         ss = StatSet("cmp")
         ss.counter("n").add(2)
         ss.sampler("lat").record(5)
-        ss.series("bw", 10).add(0, 1)
-        d = ss.as_dict()
-        assert d["n"] == 2
-        assert d["lat"]["count"] == 1.0
-        assert d["bw"]["total"] == 1
+        ss.counter("a")
+        counters = ss.counters()
+        assert list(counters) == ["n", "a"]
+        assert counters["n"] is ss.counter("n")
+        # A copy: creating a counter later does not change it.
+        ss.counter("late")
+        assert "late" not in counters

@@ -1,56 +1,27 @@
-"""Unit tests for the metrics registry and its null handles."""
+"""Unit tests for the counter, gauge and histogram handle classes."""
 
 import pytest
 
 from repro.errors import ConfigError
-from repro.telemetry.registry import (
-    DEFAULT_BUCKETS,
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
-    TELEMETRY_ENV,
-    MetricsRegistry,
-    get_registry,
-    set_registry,
-    telemetry_enabled,
-    use_registry,
-)
+from repro.telemetry.registry import DEFAULT_BUCKETS, Counter, Gauge, Histogram
 
 
 class TestHandles:
     def test_counter_accumulates(self):
-        reg = MetricsRegistry(enabled=True)
-        c = reg.counter("requests", master="cpu0")
+        c = Counter("requests", (("master", "cpu0"),))
         c.inc()
         c.inc(5)
         assert c.snapshot() == 6
 
-    def test_same_name_labels_share_handle(self):
-        reg = MetricsRegistry(enabled=True)
-        a = reg.counter("requests", master="cpu0")
-        b = reg.counter("requests", master="cpu0")
-        other = reg.counter("requests", master="acc0")
-        assert a is b
-        assert a is not other
-        assert len(reg) == 2
-
-    def test_label_order_irrelevant(self):
-        reg = MetricsRegistry(enabled=True)
-        a = reg.counter("m", x="1", y="2")
-        b = reg.counter("m", y="2", x="1")
-        assert a is b
-
     def test_gauge_set_inc_dec(self):
-        reg = MetricsRegistry(enabled=True)
-        g = reg.gauge("depth")
+        g = Gauge("depth", ())
         g.set(10)
         g.inc(3)
         g.dec()
         assert g.snapshot() == 12
 
     def test_histogram_buckets_and_summary(self):
-        reg = MetricsRegistry(enabled=True)
-        h = reg.histogram("lat", bounds=(2, 4, 8))
+        h = Histogram("lat", (), bounds=(2, 4, 8))
         for v in (1, 2, 3, 5, 100):
             h.observe(v)
         assert h.count == 5
@@ -61,113 +32,22 @@ class TestHandles:
         assert summary["max"] == 100.0
 
     def test_histogram_empty_percentiles(self):
-        reg = MetricsRegistry(enabled=True)
-        h = reg.histogram("lat")
+        h = Histogram("lat", ())
         assert h.percentile_bound(50) == 0
         assert h.mean == 0.0
         with pytest.raises(ConfigError):
             h.percentile_bound(0)
 
     def test_histogram_overflow_percentile_uses_maximum(self):
-        reg = MetricsRegistry(enabled=True)
-        h = reg.histogram("lat", bounds=(2, 4))
+        h = Histogram("lat", (), bounds=(2, 4))
         h.observe(1000)
         assert h.percentile_bound(99) == 1000
 
     def test_histogram_bounds_validation(self):
-        reg = MetricsRegistry(enabled=True)
         with pytest.raises(ConfigError):
-            reg.histogram("bad", bounds=())
+            Histogram("bad", (), bounds=())
         with pytest.raises(ConfigError):
-            reg.histogram("bad", bounds=(4, 2))
+            Histogram("bad", (), bounds=(4, 2))
 
     def test_default_buckets_ascending(self):
         assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
-
-
-class TestDisabled:
-    def test_disabled_returns_null_singletons(self):
-        reg = MetricsRegistry(enabled=False)
-        assert reg.counter("c") is NULL_COUNTER
-        assert reg.gauge("g") is NULL_GAUGE
-        assert reg.histogram("h") is NULL_HISTOGRAM
-        assert len(reg) == 0
-
-    def test_null_handles_are_inert(self):
-        NULL_COUNTER.inc()
-        NULL_COUNTER.inc(100)
-        NULL_GAUGE.set(5)
-        NULL_GAUGE.inc()
-        NULL_GAUGE.dec()
-        NULL_HISTOGRAM.observe(42)
-        assert NULL_COUNTER.snapshot() == 0
-        assert NULL_GAUGE.snapshot() == 0
-        assert NULL_HISTOGRAM.summary()["count"] == 0.0
-
-    def test_env_gate(self, monkeypatch):
-        monkeypatch.setenv(TELEMETRY_ENV, "off")
-        assert not telemetry_enabled()
-        assert MetricsRegistry().counter("c") is NULL_COUNTER
-        for value in ("0", "no", "FALSE", " Off "):
-            monkeypatch.setenv(TELEMETRY_ENV, value)
-            assert not telemetry_enabled()
-        monkeypatch.setenv(TELEMETRY_ENV, "on")
-        assert telemetry_enabled()
-        monkeypatch.delenv(TELEMETRY_ENV)
-        assert telemetry_enabled()
-
-
-class TestDefaultRegistry:
-    def test_get_set_roundtrip(self):
-        original = get_registry()
-        replacement = MetricsRegistry(enabled=True)
-        try:
-            previous = set_registry(replacement)
-            assert previous is original
-            assert get_registry() is replacement
-        finally:
-            set_registry(original)
-
-    def test_use_registry_scopes_and_restores(self):
-        original = get_registry()
-        scoped = MetricsRegistry(enabled=True)
-        with use_registry(scoped) as reg:
-            assert reg is scoped
-            assert get_registry() is scoped
-        assert get_registry() is original
-
-    def test_use_registry_restores_on_error(self):
-        original = get_registry()
-        with pytest.raises(RuntimeError):
-            with use_registry(MetricsRegistry(enabled=True)):
-                raise RuntimeError("boom")
-        assert get_registry() is original
-
-
-class TestReporting:
-    def test_collect_groups_by_metric(self):
-        reg = MetricsRegistry(enabled=True)
-        reg.counter("requests", master="cpu0").inc(3)
-        reg.counter("requests", master="acc0").inc(1)
-        reg.gauge("budget").set(2048)
-        reg.histogram("depth").observe(4)
-        collected = reg.collect()
-        assert {e["value"] for e in collected["requests"]} == {1, 3}
-        assert collected["budget"][0]["type"] == "gauge"
-        assert collected["depth"][0]["value"]["count"] == 1.0
-
-    def test_format_summary_lines_and_limit(self):
-        reg = MetricsRegistry(enabled=True)
-        reg.counter("requests", master="cpu0").inc(3)
-        reg.gauge("budget").set(7)
-        text = reg.format_summary()
-        assert "requests{master=cpu0} = 3" in text
-        assert "budget = 7" in text
-        assert len(reg.format_summary(limit=1).splitlines()) == 1
-
-    def test_reset_drops_handles(self):
-        reg = MetricsRegistry(enabled=True)
-        reg.counter("c").inc()
-        reg.reset()
-        assert len(reg) == 0
-        assert reg.counter("c").snapshot() == 0
