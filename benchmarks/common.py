@@ -82,14 +82,14 @@ def run_open(config: PlatformConfig, horizon: int = OPEN_HORIZON) -> PlatformRes
 
 
 # ---------------------------------------------------------------------------
-# parallel execution (one shared runner per benchmark process)
+# batched execution (one shared runner per benchmark process)
 # ---------------------------------------------------------------------------
 _RUNNER: Optional[ParallelRunner] = None
 
 
 def runner() -> ParallelRunner:
-    """The suite-wide :class:`ParallelRunner` (workers from
-    ``REPRO_JOBS``, on-disk cache unless ``REPRO_CACHE=off``)."""
+    """The suite-wide :class:`ParallelRunner` (in process, on-disk
+    cache unless ``REPRO_CACHE=off``)."""
     global _RUNNER
     if _RUNNER is None:
         _RUNNER = ParallelRunner(cache=ResultCache.from_env())
@@ -97,11 +97,11 @@ def runner() -> ParallelRunner:
 
 
 def run_specs(specs: Sequence[RunSpec]) -> List[RunSummary]:
-    """Fan a batch of independent runs out through the shared runner.
+    """Run a batch of independent specs through the shared runner.
 
     Each batch also refreshes ``results/runner_telemetry.json`` -- the
-    execution report (cache accounting, worker utilization, per-spec
-    seconds) sitting next to the result tables it produced.
+    execution report (cache accounting, dedup, per-spec seconds)
+    sitting next to the result tables it produced.
     """
     results = runner().run(specs)
     os.makedirs(RESULTS_DIR, exist_ok=True)

@@ -1,22 +1,20 @@
 #!/usr/bin/env python
 """End-to-end smoke for the live probe plane, as CI runs it.
 
-Drives the real CLI surfaces as subprocesses, exactly as a user
-would:
+Drives the real CLI as a subprocess, exactly as a user would::
 
-1. starts ``python -m repro serve --jobs 1 --max-requests 1`` with an
-   injected SLO (``REPRO_SLO``) that any run violates immediately;
-2. subscribes ``python -m repro watch --socket ... --once --json``;
-3. submits a regulated run over the socket with the sync client;
-4. asserts the watcher printed one live probe frame as JSON, the
-   server exited after its one request, and the violated SLO left a
-   flight-recorder dump containing pre-violation history.
+    python -m repro watch zcu102 --once --json \\
+        --slo '["dram/bytes<=1"]' --flightrec DIR
+
+and asserts that it printed one live probe frame as JSON and that the
+violated SLO (total DRAM traffic exceeds one byte on the first sampled
+frame) left a flight-recorder dump with pre-violation history in DIR.
 
 Usage::
 
     PYTHONPATH=src python scripts/watch_smoke.py [--flightrec DIR]
 
-Exit code 0 = frame received and dump present.
+Exit code 0 = frame printed and dump present.
 """
 
 from __future__ import annotations
@@ -27,29 +25,13 @@ import os
 import subprocess
 import sys
 import tempfile
-import time
 
 _HERE = os.path.dirname(os.path.abspath(__file__))
-sys.path.insert(0, os.path.join(_HERE, "..", "src"))
 
-from repro.runner import RunSpec  # noqa: E402
-from repro.runner.serve import request_runs  # noqa: E402
-from repro.soc.presets import zcu102  # noqa: E402
-
-#: A run long enough that the watcher reliably sees in-flight frames.
+#: A run long enough that the sampler sees in-flight frames.
 HOGS = 2
 CPU_WORK = 400
-MAX_CYCLES = 400_000
 SAMPLE_PERIOD = 256
-
-
-def _wait_for(predicate, timeout, what):
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return
-        time.sleep(0.05)
-    raise TimeoutError(f"timed out waiting for {what}")
 
 
 def main(argv=None) -> int:
@@ -60,81 +42,56 @@ def main(argv=None) -> int:
         help="flight-recorder output dir (default: a temp dir)",
     )
     args = parser.parse_args(argv)
-
-    tmp = tempfile.mkdtemp(prefix="watch_smoke_")
-    sock = os.path.join(tmp, "serve.sock")
-    flightrec = args.flightrec or os.path.join(tmp, "flightrec")
+    flightrec = args.flightrec or os.path.join(
+        tempfile.mkdtemp(prefix="watch_smoke_"), "flightrec"
+    )
 
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(_HERE, "..", "src")
-    env["REPRO_PROBE_PERIOD"] = str(SAMPLE_PERIOD)
-    # Total DRAM traffic exceeds one byte on the first sampled frame:
-    # a guaranteed violation that exercises the dump path.
-    env["REPRO_SLO"] = '["dram/bytes<=1"]'
-    env["REPRO_FLIGHTREC"] = flightrec
-
-    serve = subprocess.Popen(
+    env.pop("REPRO_SLO", None)
+    env.pop("REPRO_FLIGHTREC", None)
+    watch = subprocess.run(
         [
-            sys.executable, "-m", "repro", "serve",
-            "--socket", sock,
-            "--jobs", "1",
-            "--max-requests", "1",
-            "--no-cache",
+            sys.executable, "-m", "repro", "watch", "zcu102",
+            "--hogs", str(HOGS),
+            "--work", str(CPU_WORK),
+            "--sample-period", str(SAMPLE_PERIOD),
+            "--once", "--json",
+            "--slo", '["dram/bytes<=1"]',
+            "--flightrec", flightrec,
         ],
         env=env,
+        stdout=subprocess.PIPE,
+        text=True,
+        timeout=300,
     )
-    watch = None
-    try:
-        _wait_for(lambda: os.path.exists(sock), 30, "serve socket")
-        watch = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "watch",
-                "--socket", sock,
-                "--once", "--json",
-            ],
-            env=env,
-            stdout=subprocess.PIPE,
-            text=True,
-        )
-        time.sleep(0.5)  # let the watcher subscribe before the run
+    assert watch.returncode == 0, f"watch exited {watch.returncode}"
+    frames = [
+        json.loads(line)
+        for line in watch.stdout.splitlines()
+        if line.startswith("{")
+    ]
+    assert len(frames) == 1, f"expected one JSON frame, got {len(frames)}"
+    frame = frames[0]
+    assert frame["event"] == "frame", frame
+    assert any(name.startswith("port/") for name in frame["values"])
+    print(
+        f"watch_smoke: frame at cycle {frame['time']} with "
+        f"{len(frame['values'])} probe values"
+    )
 
-        spec = RunSpec(
-            config=zcu102(num_accels=HOGS, cpu_work=CPU_WORK),
-            max_cycles=MAX_CYCLES,
-        )
-        summaries = request_runs(sock, [spec], timeout=300)
-        assert len(summaries) == 1, "serve must answer the one request"
-
-        out, _ = watch.communicate(timeout=60)
-        assert watch.returncode == 0, f"watch exited {watch.returncode}"
-        frame = json.loads(out.strip().splitlines()[-1])
-        assert frame["event"] == "frame", frame
-        assert frame["values"], "frame must carry probe values"
-        assert any(name.startswith("port/") for name in frame["values"])
-        print(
-            f"watch_smoke: frame at cycle {frame['time']} with "
-            f"{len(frame['values'])} probe values"
-        )
-
-        serve.wait(timeout=60)  # --max-requests 1: exits on its own
-
-        dump = os.path.join(flightrec, "dump_000")
-        for name in ("violation.json", "history.json", "trace.json"):
-            path = os.path.join(dump, name)
-            assert os.path.isfile(path), f"missing {path}"
-        with open(os.path.join(dump, "history.json")) as fh:
-            history = json.load(fh)
-        assert history, "dump must retain pre-violation history"
-        print(
-            f"watch_smoke: flight recorder dumped {len(history)} "
-            f"frames to {dump}"
-        )
-        return 0
-    finally:
-        for proc in (watch, serve):
-            if proc is not None and proc.poll() is None:
-                proc.kill()
-                proc.wait()
+    dump = os.path.join(flightrec, "dump_000")
+    for name in ("violation.json", "history.json", "trace.json"):
+        path = os.path.join(dump, name)
+        assert os.path.isfile(path), f"missing {path}"
+    with open(os.path.join(dump, "history.json")) as fh:
+        history = json.load(fh)
+    assert history, "dump must retain pre-violation history"
+    print(
+        f"watch_smoke: flight recorder dumped {len(history)} "
+        f"frames to {dump}"
+    )
+    return 0
 
 
 if __name__ == "__main__":

@@ -81,18 +81,14 @@ from repro.probes import (
     SloViolation,
     WatchView,
     build_probe_map,
-    iter_watch,
     parse_rules,
-    probe_list,
 )
 from repro.runner import (
     ParallelRunner,
     ResultCache,
     RunSpec,
     RunSummary,
-    WorkerPool,
     execute_spec,
-    resolve_workers,
 )
 from repro.telemetry import (
     PhaseProfiler,
@@ -191,17 +187,13 @@ __all__ = [
     "SloViolation",
     "WatchView",
     "build_probe_map",
-    "iter_watch",
     "parse_rules",
-    "probe_list",
     # runner
     "ParallelRunner",
     "ResultCache",
     "RunSpec",
     "RunSummary",
-    "WorkerPool",
     "execute_spec",
-    "resolve_workers",
     # telemetry
     "PhaseProfiler",
     "RunnerTelemetry",

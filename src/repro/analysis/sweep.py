@@ -9,88 +9,22 @@ axes used for window-size sweeps.
 
 from __future__ import annotations
 
-import pickle
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.errors import ConfigError
 
 Row = Dict[str, Any]
 
 
-def sweep(
-    values: Iterable[Any],
-    fn: Callable[[Any], Row],
-    parallel: bool = False,
-    max_workers: Optional[Union[int, str]] = None,
-) -> List[Row]:
-    """Run ``fn`` for each value; collect its row augmented results.
+def sweep(values: Iterable[Any], fn: Callable[[Any], Row]) -> List[Row]:
+    """Run ``fn`` for each value and collect its rows, in sweep order.
 
-    Args:
-        values: The swept parameter values.
-        fn: Called with one value, returns a dict row.
-        parallel: Fan the calls out over a process pool.  ``fn`` and
-            the values must then be picklable (module-level functions
-            qualify; closures do not) -- anything that cannot cross
-            the process boundary silently degrades to the serial
-            path, so ``parallel=True`` is always safe to request.
-            For simulation grids prefer building
-            :class:`~repro.runner.spec.RunSpec` lists and going
-            through :class:`~repro.runner.parallel.ParallelRunner`,
-            which adds dedup, result caching, a persistent worker
-            pool, and single-flight claims on top.
-        max_workers: Pool size.  ``None`` or ``"auto"`` resolve the
-            affinity/cgroup-aware automatic count (``REPRO_JOBS``
-            override honoured -- see
-            :func:`repro.runner.parallel.resolve_workers`); a
-            positive integer forces that many workers.
-
-    Returns:
-        One row per value, in sweep order regardless of completion
-        order.
+    For simulation grids prefer building
+    :class:`~repro.runner.spec.RunSpec` lists and going through
+    :class:`~repro.runner.parallel.ParallelRunner`, which adds dedup
+    and result caching on top.
     """
-    items = list(values)
-    if parallel and len(items) > 1:
-        rows = _parallel_map(items, fn, max_workers)
-        if rows is not None:
-            return rows
-    return [fn(value) for value in items]
-
-
-def _parallel_map(
-    items: List[Any],
-    fn: Callable[[Any], Row],
-    max_workers: Optional[Union[int, str]],
-) -> Optional[List[Row]]:
-    """Map ``fn`` over ``items`` in a process pool; None = fall back."""
-    from repro.runner.parallel import default_workers
-
-    if max_workers is None or max_workers == "auto":
-        resolved = default_workers()
-    elif isinstance(max_workers, str):
-        raise ConfigError(
-            f"max_workers must be an integer or 'auto', got {max_workers!r}"
-        )
-    elif max_workers < 1:
-        raise ConfigError(f"max_workers must be >= 1, got {max_workers}")
-    else:
-        resolved = max_workers
-    workers = min(resolved, len(items))
-    if workers <= 1:
-        return None
-    try:
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-    except ImportError:  # pragma: no cover - stdlib present
-        return None
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(fn, value) for value in items]
-            return [f.result() for f in futures]
-    except (pickle.PicklingError, AttributeError, TypeError,
-            OSError, PermissionError, BrokenProcessPool):
-        # Unpicklable fn/values or a restricted environment: the
-        # caller's serial loop produces the same rows.
-        return None
+    return [fn(value) for value in values]
 
 
 def geometric_space(start: int, stop: int, factor: int = 2) -> List[int]:

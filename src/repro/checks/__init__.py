@@ -1,7 +1,7 @@
 """Correctness tooling: the invariant lint engine and runtime sanitizer.
 
-The reproduction's headline claim -- bit-identical QoS results across
-worker counts, sanitizer and probe sampling on/off -- rests on
+The reproduction's headline claim -- bit-identical QoS results with the
+sanitizer and probe sampling on or off -- rests on
 invariants nothing in the language enforces: all randomness flows
 through seeded :mod:`repro.sim.rng` streams and kernel hot paths stay
 allocation-free.  This package enforces them mechanically:

@@ -2,19 +2,9 @@
 
 Where ``repro check lint`` runs per-module rules, ``deep`` builds the
 project symbol table and call graph (:mod:`repro.checks.graph`) and
-runs the analyses that need them:
-
-* **hot-path propagation** -- HOT discipline findings for every
-  function transitively reachable from a ``# repro: hot`` anchor,
-  not just the anchored bodies;
-* **CONC** -- fork- and event-loop-boundary rules
-  (:mod:`repro.checks.rules.conc`).
-
-The per-file half of the scan (parse + symbol extraction + the
-location-bound fact tables) is embarrassingly parallel and fans out
-over the existing :class:`~repro.runner.pool.WorkerPool`; results
-merge order-independently because ``map`` returns submission order.
-Serial execution is the fallback wherever pools cannot run.
+runs the analysis that needs them: **hot-path propagation** -- HOT
+discipline findings for every function transitively reachable from a
+``# repro: hot`` anchor, not just the anchored bodies.
 
 Baselining mirrors the linter but uses its own file
 (``.repro-deep-baseline.json``): propagation can surface legitimate
@@ -32,19 +22,11 @@ from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 from repro.checks.baseline import load_baseline, write_baseline
 from repro.checks.engine import REGISTRY, all_rules, iter_python_files
 from repro.checks.findings import Finding, Severity, finding_sort_key
-from repro.checks.graph import (
-    GRAPH_REGISTRY,
-    ModuleSymbols,
-    ProjectIndex,
-    all_graph_rules,
-    extract_symbols,
-)
+from repro.checks.graph import ProjectIndex, extract_symbols
 
 __all__ = [
     "DEFAULT_DEEP_BASELINE",
     "DeepResult",
-    "scan_file",
-    "scan_paths",
     "run_deep",
     "format_deep_report",
     "run_deep_cli",
@@ -52,46 +34,6 @@ __all__ = [
 
 #: Default deep baseline, relative to the working directory.
 DEFAULT_DEEP_BASELINE = ".repro-deep-baseline.json"
-
-#: File count below which forking a pool costs more than it saves.
-_PARALLEL_THRESHOLD = 16
-
-
-def scan_file(path: str) -> ModuleSymbols:
-    """Pool-worker entry point (module-level so it pickles)."""
-    return extract_symbols(path)
-
-
-def scan_paths(
-    paths: Sequence[str], jobs: Optional[int] = None
-) -> List[ModuleSymbols]:
-    """Extract symbols for every python file under ``paths``.
-
-    Args:
-        paths: Files and/or directories.
-        jobs: Worker processes; ``None``/``0`` picks automatically
-            (serial below :data:`_PARALLEL_THRESHOLD` files), ``1``
-            forces serial.  Pool failure always falls back to serial.
-    """
-    files = list(iter_python_files(paths))
-    if jobs is None or jobs == 0:
-        import os
-
-        jobs = min(8, os.cpu_count() or 1)
-        if len(files) < _PARALLEL_THRESHOLD:
-            jobs = 1
-    if jobs > 1 and len(files) > 1:
-        from repro.runner.pool import PoolUnavailable, WorkerPool
-
-        pool = WorkerPool(min(jobs, len(files)), scan_file)
-        try:
-            return pool.map(files)
-        except PoolUnavailable:
-            pass  # restricted environment: fall through to serial
-        finally:
-            pool.close()
-    return [scan_file(path) for path in files]
-
 
 @dataclass
 class DeepResult:
@@ -133,25 +75,13 @@ def _hot_analysis(
 def run_deep(
     paths: Sequence[str],
     baseline: Optional[Dict[str, int]] = None,
-    jobs: Optional[int] = None,
 ) -> DeepResult:
-    """Scan, index, and run every whole-program analysis."""
-    from repro.checks.rules import conc
-
-    modules = scan_paths(paths, jobs)
+    """Scan, index, and run the whole-program analysis."""
+    modules = [extract_symbols(path) for path in iter_python_files(paths)]
     index = ProjectIndex(modules)
     suppressed = sum(m.suppressed for m in modules)
 
-    raw: List[Finding] = []
-    hot_findings, hot_summary = _hot_analysis(index)
-    raw.extend(hot_findings)
-    for rule_ in all_graph_rules():
-        for finding, was_suppressed in rule_.check(index):
-            if was_suppressed:
-                suppressed += 1
-            else:
-                raw.append(finding)
-
+    raw, hot_summary = _hot_analysis(index)
     raw.sort(key=finding_sort_key)
     remaining = dict(baseline or {})
     live: List[Finding] = []
@@ -169,10 +99,7 @@ def run_deep(
         baselined=grandfathered,
         suppressed=suppressed,
         files=len(modules),
-        analyses={
-            "hot": hot_summary,
-            "conc": conc.analysis_summary(index),
-        },
+        analyses={"hot": hot_summary},
     )
 
 
@@ -186,10 +113,10 @@ def _sarif_rules(result: DeepResult) -> List[Dict[str, object]]:
     """Rule metadata for every rule id appearing in the report."""
     ids = sorted({f.rule_id for f in result.findings + result.baselined})
     all_rules()  # ensure REGISTRY is populated
-    catalogue: Dict[str, Tuple[str, str]] = {}
-    for registry in (REGISTRY, GRAPH_REGISTRY):
-        for rid, rule_ in registry.items():
-            catalogue[rid] = (rule_.description, rule_.severity)
+    catalogue: Dict[str, Tuple[str, str]] = {
+        rid: (rule_.description, rule_.severity)
+        for rid, rule_ in REGISTRY.items()
+    }
     out = []
     for rid in ids:
         description, severity = catalogue.get(rid, (rid, Severity.ERROR))
@@ -270,17 +197,10 @@ def format_deep_report(result: DeepResult, fmt: str = "human") -> str:
     for finding in result.baselined:
         lines.append(f"{finding.format_human()} (baselined)")
     hot = result.analyses.get("hot", {})
-    conc = result.analyses.get("conc", {})
     lines.append(
         f"hot set: {hot.get('reachable', 0)} reachable from "
         f"{hot.get('anchored', 0)} anchors "
         f"({hot.get('propagated', 0)} by propagation)"
-    )
-    lines.append(
-        f"workers: {conc.get('worker_reachable', 0)} functions reachable "
-        f"from {len(conc.get('worker_roots', []))} pool root(s); "
-        f"async: {conc.get('async_reachable', 0)} from "
-        f"{conc.get('async_roots', 0)} handler(s)"
     )
     lines.append(
         f"{result.files} files: {len(result.errors)} errors, "
@@ -295,7 +215,6 @@ def run_deep_cli(
     baseline_path: Optional[str] = None,
     fmt: str = "human",
     update_baseline: bool = False,
-    jobs: Optional[int] = None,
     stream: Optional[TextIO] = None,
 ) -> int:
     """Full CLI behaviour; returns the process exit code.
@@ -308,7 +227,7 @@ def run_deep_cli(
         stream = sys.stdout  # resolved per call so capture hooks see it
     target = baseline_path or DEFAULT_DEEP_BASELINE
     baseline = load_baseline(target)
-    result = run_deep(paths, baseline=baseline, jobs=jobs)
+    result = run_deep(paths, baseline=baseline)
     if update_baseline:
         write_baseline(target, result.findings + result.baselined)
         print(

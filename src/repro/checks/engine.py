@@ -15,8 +15,8 @@ runs every registered rule, and applies the two escape hatches:
   reported as baselined, new ones fail.
 
 Module-level policy markers (``# repro: config-layer``) and function
-anchors (``# repro: hot``, ``# repro: claim-protocol``) are parsed
-here once and exposed on the context so rules stay declarative.
+anchors (``# repro: hot``) are parsed here once and exposed on the
+context so rules stay declarative.
 """
 
 from __future__ import annotations
@@ -38,10 +38,7 @@ _ALLOW_RE = re.compile(r"#\s*repro:\s*allow\[([A-Za-z0-9_,\s]+)\]")
 _MARKER_RE = re.compile(r"#\s*repro:\s*([a-z][a-z-]*)\s*(?:$|[^[])")
 
 #: Function anchors recognised on/above a ``def`` (or its decorators).
-#: ``claim-protocol`` marks a function whose shared-state writes go
-#: through an atomic claim (O_EXCL file, exclusive mkdir) -- see the
-#: CONC rules in :mod:`repro.checks.rules.conc`.
-FUNCTION_ANCHORS = ("hot", "claim-protocol")
+FUNCTION_ANCHORS = ("hot",)
 
 
 @dataclass
@@ -318,26 +315,6 @@ class LintResult:
         return [f for f in self.findings if f.severity == Severity.WARNING]
 
 
-def _lint_file_worker(path: str) -> Tuple[List[Finding], int]:
-    """Pool-worker entry: lint one file with the default rule set.
-
-    Module-level so it pickles by qualified name; each worker process
-    re-imports the rule packages on first use.  Returns the file's
-    live findings plus its inline-suppression count -- merging is
-    order-independent because the parent sorts the union.
-    """
-    ctx = build_context(path)
-    findings: List[Finding] = []
-    suppressed = 0
-    for rule_ in all_rules():
-        for finding in rule_.check(ctx):
-            if ctx.is_suppressed(finding.rule_id, finding.line):
-                suppressed += 1
-            else:
-                findings.append(finding)
-    return findings, suppressed
-
-
 class LintEngine:
     """Run a rule set over files, applying suppressions and a baseline.
 
@@ -353,57 +330,22 @@ class LintEngine:
         rules: Optional[Sequence[Rule]] = None,
         baseline: Optional[Dict[str, int]] = None,
     ) -> None:
-        self._default_rules = rules is None
         self.rules = list(rules) if rules is not None else all_rules()
         self.baseline = dict(baseline or {})
 
-    def _run_parallel(
-        self, files: Sequence[str], jobs: int
-    ) -> Optional[Tuple[List[Finding], int]]:
-        """Fan the per-file scans over a WorkerPool; ``None`` = fall back.
-
-        Only the default rule set can cross the process boundary (the
-        workers re-import it); a custom rule list stays serial.
-        """
-        if not self._default_rules or jobs < 2 or len(files) < 2:
-            return None
-        from repro.runner.pool import PoolUnavailable, WorkerPool
-
-        pool = WorkerPool(min(jobs, len(files)), _lint_file_worker)
-        try:
-            per_file = pool.map(list(files))
-        except PoolUnavailable:
-            return None
-        finally:
-            pool.close()
+    def run(self, paths: Sequence[str]) -> LintResult:
         raw: List[Finding] = []
         suppressed = 0
-        for findings, count in per_file:
-            raw.extend(findings)
-            suppressed += count
-        return raw, suppressed
-
-    def run(
-        self, paths: Sequence[str], jobs: Optional[int] = None
-    ) -> LintResult:
-        files_list = list(iter_python_files(paths))
-        parallel = self._run_parallel(files_list, jobs or 1)
-        if parallel is not None:
-            raw, suppressed = parallel
-            files = len(files_list)
-        else:
-            raw = []
-            suppressed = 0
-            files = 0
-            for path in files_list:
-                ctx = build_context(path)
-                files += 1
-                for rule_ in self.rules:
-                    for finding in rule_.check(ctx):
-                        if ctx.is_suppressed(finding.rule_id, finding.line):
-                            suppressed += 1
-                        else:
-                            raw.append(finding)
+        files = 0
+        for path in iter_python_files(paths):
+            ctx = build_context(path)
+            files += 1
+            for rule_ in self.rules:
+                for finding in rule_.check(ctx):
+                    if ctx.is_suppressed(finding.rule_id, finding.line):
+                        suppressed += 1
+                    else:
+                        raw.append(finding)
         raw.sort(key=lambda f: (f.path, f.line, f.col, f.rule_id))
         remaining = dict(self.baseline)
         live: List[Finding] = []

@@ -2,33 +2,26 @@
 
 The per-file linter (:mod:`repro.checks.engine`) sees one module at a
 time, which is exactly as far as anchor-comment-driven rules can go.
-The analyses behind ``repro check deep`` need more: *which functions
-can execute inside a pool worker process*, *which code runs under the
-asyncio serve loop*, *what is transitively reachable from a hot-path
-anchor*.  This module supplies the shared substrate:
+The analysis behind ``repro check deep`` needs more: *what is
+transitively reachable from a hot-path anchor*.  This module supplies
+the substrate:
 
-* :func:`extract_symbols` distils one parsed module into a picklable
+* :func:`extract_symbols` distils one parsed module into a
   :class:`ModuleSymbols` -- functions with their call sites, classes
-  with bases/attribute types, imports, suppressions.  Extraction also
-  pre-computes the location-bound facts the concurrency rules need
-  (module-global writes, blocking calls, filesystem writes, HOT
-  discipline findings) so the expensive AST walk happens once per
-  file and can run in a :class:`~repro.runner.pool.WorkerPool`.
+  with bases/attribute types, imports.  Extraction also pre-computes
+  every function's HOT discipline findings, so the expensive AST walk
+  happens once per file.
 * :class:`ProjectIndex` merges the per-file tables into a project
   view: import/alias resolution, lightweight type inference (parameter
   annotations, ``self.attr`` assignments, local constructor calls,
   registry dicts), method resolution with dynamic dispatch through
   subclass overrides, and BFS reachability over the resulting edges.
-* :class:`GraphRule` / :data:`GRAPH_REGISTRY` mirror the per-file rule
-  framework for rules that need the whole index (the CONC family in
-  :mod:`repro.checks.rules.conc`).
 
 The resolver is deliberately *under*-approximate where Python is
 dynamic: an edge is added only when a receiver's type can be traced
 through annotations, constructor assignments, or a registry dict.
-That keeps the hot-set and worker-set reports precise enough to act
-on; the escape hatches (anchors, ``allow[...]``, the deep baseline)
-cover the rest.
+That keeps the hot-set report precise enough to act on; the escape
+hatches (anchors, ``allow[...]``, the deep baseline) cover the rest.
 """
 
 from __future__ import annotations
@@ -43,8 +36,7 @@ from repro.checks.engine import (
     ModuleContext,
     build_context,
 )
-from repro.checks.findings import Finding, Severity
-from repro.errors import LintError
+from repro.checks.findings import Finding
 
 __all__ = [
     "CallSite",
@@ -52,16 +44,12 @@ __all__ = [
     "ClassSym",
     "ModuleSymbols",
     "ProjectIndex",
-    "GraphRule",
-    "GRAPH_REGISTRY",
-    "graph_rule",
-    "all_graph_rules",
     "extract_symbols",
     "module_name_for",
 ]
 
 # ---------------------------------------------------------------------------
-# data model (everything picklable: the scan fans out over a WorkerPool)
+# data model
 # ---------------------------------------------------------------------------
 
 
@@ -79,15 +67,12 @@ class CallSite:
             registry dict name for ``"registry"``); empty for
             ``"name"``/``"self"``/``"cls"``/``"super"`` kinds.
         line: 1-based source line of the call.
-        arg_refs: Dotted texts of Name/Attribute arguments -- function
-            references handed to the callee (worker-fn detection).
     """
 
     kind: str
     func: str
     recv: str = ""
     line: int = 0
-    arg_refs: Tuple[str, ...] = ()
 
 
 @dataclass
@@ -99,7 +84,6 @@ class FunctionSym:
     name: str
     cls: Optional[str]  #: enclosing class qualname, or ``None``
     line: int
-    is_async: bool
     anchors: Tuple[str, ...]
     params: Tuple[str, ...]
     param_types: Dict[str, str] = field(default_factory=dict)
@@ -109,12 +93,9 @@ class FunctionSym:
     nested: Tuple[str, ...] = ()  #: qualnames of nested defs (closures)
     local_types: Dict[str, str] = field(default_factory=dict)
     local_regs: Dict[str, str] = field(default_factory=dict)
-    #: Pre-computed location-bound findings (already suppression
-    #: filtered); the graph rules *select* from these by reachability.
+    #: Pre-computed HOT findings (already suppression filtered); the
+    #: deep driver *selects* from these by reachability.
     hot_findings: Tuple[Finding, ...] = ()
-    global_writes: Tuple[Finding, ...] = ()
-    blocking_calls: Tuple[Finding, ...] = ()
-    fs_writes: Tuple[Finding, ...] = ()
 
 
 @dataclass
@@ -125,14 +106,9 @@ class ClassSym:
     module: str
     name: str
     line: int
-    path: str
-    source: str  #: stripped ``class`` source line (for fingerprints)
     bases: Tuple[str, ...]  #: raw dotted base texts, in order
     methods: Dict[str, str] = field(default_factory=dict)
     attr_types: Dict[str, str] = field(default_factory=dict)
-    is_dataclass: bool = False
-    #: dataclass fields as ``(name, annotation text, line, source)``.
-    fields: Tuple[Tuple[str, str, int, str], ...] = ()
 
 
 @dataclass
@@ -146,8 +122,6 @@ class ModuleSymbols:
     functions: List[FunctionSym] = field(default_factory=list)
     classes: List[ClassSym] = field(default_factory=list)
     registries: Dict[str, Tuple[str, ...]] = field(default_factory=dict)
-    suppressions: Dict[int, Tuple[str, ...]] = field(default_factory=dict)
-    markers: Tuple[str, ...] = ()
     suppressed: int = 0  #: findings dropped by inline ``allow`` comments
 
 
@@ -159,24 +133,6 @@ class ModuleSymbols:
 _TYPE_WRAPPERS = {"Optional", "List", "Sequence", "Tuple", "Set",
                   "FrozenSet", "Iterable", "Final", "ClassVar",
                   "Deque", "Type"}
-
-#: Calls that block the event loop when reached from an ``async def``.
-_BLOCKING_CALLS = {
-    "time.sleep",
-    "subprocess.run", "subprocess.call", "subprocess.check_call",
-    "subprocess.check_output", "subprocess.Popen",
-    "os.system", "os.popen", "os.wait", "os.waitpid",
-    "socket.create_connection",
-}
-
-#: Filesystem mutations that need the claim protocol in worker code.
-_FS_WRITE_CALLS = {
-    "os.replace", "os.rename", "os.renames", "os.makedirs", "os.mkdir",
-    "os.remove", "os.unlink", "os.rmdir",
-    "shutil.move", "shutil.copy", "shutil.copy2", "shutil.copyfile",
-    "shutil.copytree", "shutil.rmtree",
-}
-
 
 def module_name_for(path: str, rel: Optional[str]) -> str:
     """Dotted module name for a file.
@@ -210,7 +166,7 @@ def _dotted(node: ast.AST) -> str:
 def _ann_text(node: Optional[ast.AST]) -> str:
     """Annotation -> dotted type text, unwrapping one generic layer.
 
-    ``Optional[WorkerPool]`` -> ``WorkerPool``; ``"Kernel"`` (string
+    ``Optional[Kernel]`` -> ``Kernel``; ``"Kernel"`` (string
     annotation) -> ``Kernel``; unresolvable shapes -> ``""``.
     """
     if node is None:
@@ -271,79 +227,25 @@ def _body_walk(fn_node: ast.AST) -> Iterable[ast.AST]:
 
 def _call_site(node: ast.Call) -> Optional[CallSite]:
     """Classify one call expression; ``None`` for unresolvable shapes."""
-    refs: List[str] = []
-    for arg in list(node.args) + [kw.value for kw in node.keywords]:
-        text = _dotted(arg)
-        if text:
-            refs.append(text)
-    arg_refs = tuple(refs)
     callee = node.func
     if isinstance(callee, ast.Name):
-        return CallSite("name", callee.id, "", node.lineno, arg_refs)
+        return CallSite("name", callee.id, "", node.lineno)
     if isinstance(callee, ast.Attribute):
         value = callee.value
         if (isinstance(value, ast.Call)
                 and isinstance(value.func, ast.Name)
                 and value.func.id == "super"):
-            return CallSite("super", callee.attr, "", node.lineno, arg_refs)
+            return CallSite("super", callee.attr, "", node.lineno)
         recv = _dotted(value)
         if recv == "self" or recv == "cls":
             return CallSite(recv if recv == "cls" else "self",
-                            callee.attr, "", node.lineno, arg_refs)
+                            callee.attr, "", node.lineno)
         if recv:
-            return CallSite("attr", callee.attr, recv, node.lineno, arg_refs)
+            return CallSite("attr", callee.attr, recv, node.lineno)
         return None
     if isinstance(callee, ast.Subscript) and isinstance(callee.value, ast.Name):
-        return CallSite("registry", "", callee.value.id, node.lineno, arg_refs)
+        return CallSite("registry", "", callee.value.id, node.lineno)
     return None
-
-
-def _resolved_call_name(
-    site: CallSite, imports: Dict[str, str]
-) -> str:
-    """Import-resolved dotted name of a call, for table matching."""
-    if site.kind == "name":
-        return imports.get(site.func, site.func)
-    if site.kind == "attr":
-        head, _, tail = site.recv.partition(".")
-        root = imports.get(head, head)
-        recv = f"{root}.{tail}" if tail else root
-        return f"{recv}.{site.func}"
-    return ""
-
-
-def _write_mode(node: ast.Call) -> bool:
-    """Does this ``open()`` call use a writing mode?"""
-    mode: Optional[ast.AST] = None
-    if len(node.args) >= 2:
-        mode = node.args[1]
-    for kw in node.keywords:
-        if kw.arg == "mode":
-            mode = kw.value
-    if mode is None:
-        return False
-    if isinstance(mode, ast.Constant) and isinstance(mode.value, str):
-        return any(ch in mode.value for ch in "wax+")
-    return True  # dynamic mode: assume the worst
-
-
-def _mk_finding(
-    rule_id: str,
-    severity: str,
-    ctx: ModuleContext,
-    node: ast.AST,
-    message: str,
-) -> Finding:
-    line = getattr(node, "lineno", 1)
-    return Finding(
-        rule_id=rule_id,
-        severity=severity,
-        path=ctx.path,
-        line=line,
-        col=getattr(node, "col_offset", 0),
-        message=message,
-        source=ctx.source_line(line),
-    )
 
 
 def _function_facts(
@@ -352,9 +254,8 @@ def _function_facts(
     qualname: str,
     module: str,
     cls: Optional[str],
-    imports: Dict[str, str],
-) -> Tuple[FunctionSym, int]:
-    """Summarise one function; returns ``(symbol, suppressed count)``."""
+) -> FunctionSym:
+    """Summarise one function's signature, call sites and local types."""
     node = fn.node
     params: List[str] = []
     param_types: Dict[str, str] = {}
@@ -369,78 +270,20 @@ def _function_facts(
                     for dec in node.decorator_list) if d
     )
 
-    declared_globals: Set[str] = set()
     calls: List[CallSite] = []
     local_types: Dict[str, str] = {}
     local_regs: Dict[str, str] = {}
-    global_writes: List[Finding] = []
-    blocking: List[Finding] = []
-    fs_writes: List[Finding] = []
-    suppressed = 0
-
-    def keep(finding: Finding, out: List[Finding]) -> None:
-        nonlocal suppressed
-        if ctx.is_suppressed(finding.rule_id, finding.line):
-            suppressed += 1
-        else:
-            out.append(finding)
-
-    for sub in _body_walk(node):
-        if isinstance(sub, ast.Global):
-            declared_globals.update(sub.names)
     for sub in _body_walk(node):
         if isinstance(sub, ast.Call):
             site = _call_site(sub)
             if site is not None:
                 calls.append(site)
-                resolved = _resolved_call_name(site, imports)
-                if resolved in _BLOCKING_CALLS:
-                    keep(_mk_finding(
-                        "CONC003", Severity.ERROR, ctx, sub,
-                        f"blocking call {resolved}() in {qualname}(), "
-                        "reachable from an async handler; use the loop's "
-                        "executor or an async equivalent",
-                    ), blocking)
-                elif resolved == "open":
-                    keep(_mk_finding(
-                        "CONC003", Severity.ERROR, ctx, sub,
-                        f"synchronous file I/O (open) in {qualname}(), "
-                        "reachable from an async handler; move it off "
-                        "the event loop",
-                    ), blocking)
-                    if _write_mode(sub):
-                        keep(_mk_finding(
-                            "CONC004", Severity.ERROR, ctx, sub,
-                            f"file write (open) in worker-reachable "
-                            f"{qualname}() without the claim protocol; "
-                            "claim the path atomically or anchor the "
-                            "function with '# repro: claim-protocol'",
-                        ), fs_writes)
-                elif resolved in _FS_WRITE_CALLS:
-                    keep(_mk_finding(
-                        "CONC004", Severity.ERROR, ctx, sub,
-                        f"filesystem mutation {resolved}() in "
-                        f"worker-reachable {qualname}() without the claim "
-                        "protocol; claim the path atomically or anchor "
-                        "the function with '# repro: claim-protocol'",
-                    ), fs_writes)
         elif isinstance(sub, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets: List[ast.AST]
             if isinstance(sub, ast.Assign):
-                targets = list(sub.targets)
+                first = sub.targets[0] if sub.targets else None
             else:
-                targets = [sub.target]
-            for target in targets:
-                if (isinstance(target, ast.Name)
-                        and target.id in declared_globals):
-                    keep(_mk_finding(
-                        "CONC001", Severity.ERROR, ctx, sub,
-                        f"module global {target.id!r} rebound in "
-                        f"{qualname}(); a worker process mutates its own "
-                        "copy, the parent never sees it",
-                    ), global_writes)
+                first = sub.target
             value = getattr(sub, "value", None)
-            first = targets[0] if targets else None
             if isinstance(first, ast.Name) and value is not None:
                 if isinstance(value, ast.Call):
                     callee = _dotted(value.func)
@@ -458,13 +301,12 @@ def _function_facts(
         and "." not in other.qualname[len(fn.qualname) + 1:]
     )
 
-    sym = FunctionSym(
+    return FunctionSym(
         qualname=qualname,
         module=module,
         name=node.name,
         cls=cls,
         line=node.lineno,
-        is_async=isinstance(node, ast.AsyncFunctionDef),
         anchors=tuple(sorted(fn.anchors)),
         params=tuple(params),
         param_types=param_types,
@@ -474,20 +316,7 @@ def _function_facts(
         nested=nested,
         local_types=local_types,
         local_regs=local_regs,
-        global_writes=tuple(global_writes),
-        blocking_calls=tuple(blocking),
-        fs_writes=tuple(fs_writes),
     )
-    return sym, suppressed
-
-
-def _is_dataclass_def(node: ast.ClassDef) -> bool:
-    for dec in node.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        text = _dotted(target)
-        if text.rsplit(".", 1)[-1] == "dataclass":
-            return True
-    return False
 
 
 def _class_facts(
@@ -507,19 +336,12 @@ def _class_facts(
             if key in fn_quals:
                 methods[child.name] = fn_quals[key]
     attr_types: Dict[str, str] = {}
-    fields: List[Tuple[str, str, int, str]] = []
     for child in node.body:
         if isinstance(child, ast.AnnAssign) and isinstance(child.target,
                                                            ast.Name):
             ann = _ann_text(child.annotation)
             if ann:
                 attr_types[child.target.id] = ann
-            fields.append((
-                child.target.id,
-                ann,
-                child.lineno,
-                ctx.source_line(child.lineno),
-            ))
     init = next(
         (c for c in node.body
          if isinstance(c, ast.FunctionDef) and c.name == "__init__"),
@@ -558,13 +380,9 @@ def _class_facts(
         module=module,
         name=node.name,
         line=node.lineno,
-        path=ctx.path,
-        source=ctx.source_line(node.lineno),
         bases=bases,
         methods=methods,
         attr_types=attr_types,
-        is_dataclass=_is_dataclass_def(node),
-        fields=tuple(fields),
     )
 
 
@@ -614,10 +432,7 @@ def extract_symbols(path: str, source: Optional[str] = None) -> ModuleSymbols:
             enclosing = fn.qualname.rsplit(".", 1)[0]
             if enclosing in class_quals:
                 cls = f"{module}.{enclosing}"
-        sym, fn_suppressed = _function_facts(
-            ctx, fn, fn_quals[fn.qualname], module, cls, imports
-        )
-        suppressed += fn_suppressed
+        sym = _function_facts(ctx, fn, fn_quals[fn.qualname], module, cls)
         hot: List[Finding] = []
         for rule_ in HOT_RULES:
             for finding in rule_.check_function(ctx, fn):
@@ -639,11 +454,6 @@ def extract_symbols(path: str, source: Optional[str] = None) -> ModuleSymbols:
         functions=functions,
         classes=classes,
         registries=_registry_tables(ctx.tree),
-        suppressions={
-            line: tuple(sorted(ids))
-            for line, ids in ctx.suppressions.items()
-        },
-        markers=tuple(sorted(ctx.markers)),
         suppressed=suppressed,
     )
 
@@ -901,99 +711,3 @@ class ProjectIndex:
             (f for f in self.functions.values() if anchor in f.anchors),
             key=lambda f: f.qualname,
         )
-
-    def worker_roots(self) -> Set[str]:
-        """Functions shipped to pool workers (WorkerPool worker fns).
-
-        A worker root is any function reference passed as an argument
-        to a ``WorkerPool(...)`` construction (or to a ``.map``-style
-        call on a receiver of that class), resolved through imports
-        and enclosing-class attribute types.
-        """
-        roots: Set[str] = set()
-        for fn in self.functions.values():
-            for site in fn.calls:
-                is_pool = False
-                if site.kind == "name" and site.func == "WorkerPool":
-                    is_pool = True
-                elif site.kind == "attr" and site.func == "WorkerPool":
-                    is_pool = True
-                elif site.kind == "name":
-                    for cand in self._candidates(fn.module, site.func):
-                        cls = self.classes.get(cand)
-                        if cls is not None and cls.name == "WorkerPool":
-                            is_pool = True
-                            break
-                if not is_pool:
-                    continue
-                for ref in site.arg_refs:
-                    target = self.resolve_function(fn.module, ref)
-                    if target:
-                        roots.add(target)
-                        continue
-                    if "." in ref:
-                        recv, _, name = ref.rpartition(".")
-                        recv_cls = self._receiver_class(fn, recv)
-                        if recv_cls:
-                            roots.update(
-                                self.method_targets(recv_cls, name)
-                            )
-        return roots
-
-    def async_roots(self) -> Set[str]:
-        return {f.qualname for f in self.functions.values() if f.is_async}
-
-    def is_suppressed(self, module: str, rule_id: str, line: int) -> bool:
-        """Suppression check for findings built at index time."""
-        msym = self.modules.get(module)
-        if msym is None:
-            return False
-        family = rule_id.rstrip("0123456789")
-        for cand in (line, line - 1):
-            allowed = msym.suppressions.get(cand)
-            if allowed and (rule_id in allowed or family in allowed):
-                return True
-        return False
-
-
-# ---------------------------------------------------------------------------
-# graph rules (the deep family: CONC)
-# ---------------------------------------------------------------------------
-class GraphRule:
-    """One whole-program invariant check.
-
-    Mirrors :class:`repro.checks.engine.Rule` but runs once over the
-    merged :class:`ProjectIndex` instead of per module, and yields
-    ``(finding, suppressed)`` pairs so the driver can keep the
-    suppression count accurate for findings minted at index time.
-    """
-
-    id: str = ""
-    family: str = ""
-    severity: str = Severity.ERROR
-    description: str = ""
-
-    def check(self, index: ProjectIndex) -> Iterable[Tuple[Finding, bool]]:
-        raise NotImplementedError
-
-
-#: rule id -> GraphRule instance (populated by the rules package).
-GRAPH_REGISTRY: Dict[str, GraphRule] = {}
-
-
-def graph_rule(cls):
-    """Class decorator registering a :class:`GraphRule` subclass."""
-    instance = cls()
-    if not instance.id or not instance.family:
-        raise LintError(f"graph rule {cls.__name__} must define id/family")
-    if instance.id in GRAPH_REGISTRY:
-        raise LintError(f"duplicate graph rule id {instance.id!r}")
-    GRAPH_REGISTRY[instance.id] = instance
-    return cls
-
-
-def all_graph_rules() -> List[GraphRule]:
-    """Registered graph rules in id order (imports the deep families)."""
-    import repro.checks.rules.conc  # noqa: F401  (registration)
-
-    return [GRAPH_REGISTRY[rid] for rid in sorted(GRAPH_REGISTRY)]

@@ -26,7 +26,6 @@ __all__ = ["lint_paths", "format_report", "run_lint"]
 def lint_paths(
     paths: Sequence[str],
     baseline_path: Optional[str] = None,
-    jobs: Optional[int] = None,
 ) -> LintResult:
     """Lint ``paths`` with every registered rule.
 
@@ -34,11 +33,9 @@ def lint_paths(
         paths: Files and/or directories.
         baseline_path: Baseline file; ``None`` uses the default
             location (an absent file means an empty baseline).
-        jobs: Scan with this many pool workers (serial fallback when
-            pools cannot run); ``None``/``1`` stays serial.
     """
     baseline = load_baseline(baseline_path or DEFAULT_BASELINE)
-    return LintEngine(baseline=baseline).run(paths, jobs=jobs)
+    return LintEngine(baseline=baseline).run(paths)
 
 
 def format_report(result: LintResult, fmt: str = "human") -> str:
@@ -83,7 +80,6 @@ def run_lint(
     fmt: str = "human",
     update_baseline: bool = False,
     stream: Optional[TextIO] = None,
-    jobs: Optional[int] = None,
 ) -> int:
     """Full CLI behaviour; returns the process exit code.
 
@@ -93,7 +89,7 @@ def run_lint(
     """
     if stream is None:
         stream = sys.stdout  # resolved per call so capture hooks see it
-    result = lint_paths(paths, baseline_path, jobs=jobs)
+    result = lint_paths(paths, baseline_path)
     if update_baseline:
         target = baseline_path or DEFAULT_BASELINE
         write_baseline(target, result.findings + result.baselined)

@@ -11,8 +11,7 @@ Small, scriptable front-ends over the experiment API::
     python -m repro trace --export perfetto --out trace.json
     python -m repro check lint src/
     python -m repro check sanitize --diff
-    python -m repro serve --socket .repro_serve.sock
-    python -m repro watch --socket .repro_serve.sock --once --json
+    python -m repro watch zcu102 --once --json
     python -m repro watch adas --slo '["port/cam/last_latency<=500"]'
 
 Every subcommand prints an aligned table on stdout and returns a
@@ -275,7 +274,6 @@ def cmd_check(args) -> int:
             baseline_path=args.baseline,
             fmt=args.format,
             update_baseline=args.write_baseline,
-            jobs=args.jobs,
         )
     if args.check_command == "deep":
         from repro.checks.deep import run_deep_cli
@@ -285,7 +283,6 @@ def cmd_check(args) -> int:
             baseline_path=args.baseline,
             fmt=args.format,
             update_baseline=args.write_baseline,
-            jobs=args.jobs,
         )
     if args.check_command == "sanitize":
         return _cmd_check_sanitize(args)
@@ -330,98 +327,12 @@ def _cmd_check_sanitize(args) -> int:
     return 0
 
 
-def cmd_serve(args) -> int:
-    import asyncio
-
-    from repro.runner import ParallelRunner, ResultCache
-    from repro.runner.serve import BatchServer
-
-    cache = None if args.no_cache else ResultCache.from_env()
-    runner = ParallelRunner(
-        max_workers=args.jobs,
-        cache=cache,
-        chunk_size=args.chunk_size,
-    )
-    workers, source = runner.worker_resolution()
-    server = BatchServer(
-        runner, socket_path=args.socket, max_requests=args.max_requests
-    )
-    print(
-        f"repro serve: listening on {args.socket} "
-        f"({workers} workers via {source}, "
-        f"cache={'off' if cache is None else cache.root})"
-    )
-    try:
-        asyncio.run(server.run())
-    except KeyboardInterrupt:
-        pass
-    finally:
-        runner.close()
-    stats = server.stats
-    print(
-        f"repro serve: {stats.requests} requests, {stats.specs} specs, "
-        f"{stats.coalesced} coalesced, {stats.batches} batches, "
-        f"{stats.errors} errors"
-    )
-    return 0
-
-
 def cmd_watch(args) -> int:
-    if args.socket:
-        return _watch_socket(args)
-    return _watch_local(args)
-
-
-def _watch_socket(args) -> int:
-    """Attach to a ``repro serve`` socket and stream probe frames."""
-    import json
-
-    from repro.probes import WatchView, iter_watch
-
-    view = WatchView()
-    max_frames = 1 if args.once else args.max_frames
-    frames = 0
-    try:
-        for message in iter_watch(
-            args.socket,
-            probes=args.probes,
-            max_frames=max_frames,
-            timeout=args.timeout,
-        ):
-            event = message.get("event")
-            if event == "frame":
-                frames += 1
-                if args.json:
-                    print(json.dumps(message))
-                else:
-                    print(view.render(message))
-            elif event == "meta" and not args.json:
-                print(
-                    f"watching run {message.get('run', '<pending>')} "
-                    f"({len(message.get('probes', []))} probes)"
-                )
-            elif event == "end" and not args.json:
-                print(f"run {message.get('run', '?')} finished")
-    except OSError as exc:
-        print(f"error: watch on {args.socket}: {exc}", file=sys.stderr)
-        return 1
-    if frames == 0:
-        print("error: no frames received", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _watch_local(args) -> int:
     """Run an experiment locally with a sampler attached and render
     its frames (one table or JSON line per sample)."""
     import json
 
-    from repro.probes import (
-        FlightRecorder,
-        ProbeSampler,
-        WatchView,
-        rules_from_json,
-    )
+    from repro.probes import FlightRecorder, ProbeSampler, WatchView
     from repro.soc.platform import Platform
 
     config = _experiment_config(args)
@@ -432,20 +343,7 @@ def _watch_local(args) -> int:
         probes=args.probes,
         period=args.sample_period,
     )
-    if args.slo:
-        raw = args.slo.strip()
-        if raw.startswith("["):
-            rules = rules_from_json(raw)
-        else:
-            try:
-                with open(raw, encoding="utf-8") as fh:
-                    rules = rules_from_json(fh.read())
-            except OSError as exc:
-                print(f"error: --slo {raw!r}: {exc}", file=sys.stderr)
-                return 2
-        recorder = FlightRecorder(rules, out_dir=args.flightrec)
-    else:
-        recorder = FlightRecorder.from_env()
+    recorder = FlightRecorder.from_env(slo=args.slo, out_dir=args.flightrec)
     if recorder is not None:
         recorder.context.setdefault("experiment", args.experiment)
         recorder.arm(sampler)
@@ -631,13 +529,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="record current findings as the new baseline")
     c.add_argument("--list-rules", action="store_true",
                    help="print the rule catalogue and exit")
-    c.add_argument("--jobs", type=int, default=None,
-                   help="scan files with N pool workers (default: serial)")
     c.set_defaults(fn=cmd_check)
 
     c = check_sub.add_parser(
         "deep",
-        help="whole-program analyses: hot-set propagation, CONC",
+        help="whole-program analysis: hot-set propagation",
     )
     c.add_argument("paths", nargs="*", help="files/directories (default: src)")
     c.add_argument("--format", default="human",
@@ -646,8 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="baseline file (default .repro-deep-baseline.json)")
     c.add_argument("--write-baseline", action="store_true",
                    help="record current findings as the new baseline")
-    c.add_argument("--jobs", type=int, default=None,
-                   help="scan files with N pool workers (default: auto)")
     c.set_defaults(fn=cmd_check)
 
     c = check_sub.add_parser(
@@ -668,34 +562,12 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(fn=cmd_check)
 
     p = sub.add_parser(
-        "serve",
-        help="batch front-end: JSON run requests over a local socket",
-    )
-    p.add_argument("--socket", default=".repro_serve.sock",
-                   help="Unix socket path to listen on")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: auto via REPRO_JOBS / "
-                        "affinity / cgroup quota)")
-    p.add_argument("--chunk-size", type=int, default=None,
-                   help="specs per pool submission (default: per-spec "
-                        "work stealing)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="do not attach the on-disk result cache")
-    p.add_argument("--max-requests", type=int, default=None,
-                   help="exit after N run requests (default: serve forever)")
-    p.set_defaults(fn=cmd_serve)
-
-    p = sub.add_parser(
         "watch",
         help="live probe view: per-master bandwidth, throttle duty, "
              "budget headroom",
     )
     p.add_argument("experiment", nargs="?", default="zcu102",
-                   help="'zcu102' or a scenario name (local mode; "
-                        "ignored with --socket)")
-    p.add_argument("--socket", default=None,
-                   help="attach to a 'repro serve' socket instead of "
-                        "running locally")
+                   help="'zcu102' or a scenario name")
     p.add_argument("--probes", nargs="+", default=None, metavar="GLOB",
                    help="probe-name glob patterns (default: all probes)")
     p.add_argument("--once", action="store_true",
@@ -704,16 +576,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="newline-JSON frames instead of tables")
     p.add_argument("--max-frames", type=int, default=None,
                    help="stop after N frames")
-    p.add_argument("--timeout", type=float, default=None,
-                   help="per-read socket timeout in seconds (socket mode)")
     p.add_argument("--sample-period", type=int, default=None,
                    help="sampling period in cycles (default: "
-                        "REPRO_PROBE_PERIOD or 4096; local mode)")
+                        "REPRO_PROBE_PERIOD or 4096)")
     p.add_argument("--max-cycles", type=int, default=DEFAULT_MAX_CYCLES)
     p.add_argument("--slo", default=None,
                    help="SLO rules arming a flight recorder: inline JSON "
-                        "list or a file path (local mode; default: "
-                        "REPRO_SLO)")
+                        "list or a file path (default: REPRO_SLO)")
     p.add_argument("--flightrec", default=None,
                    help="flight-recorder dump root (default: "
                         "REPRO_FLIGHTREC or results/flightrec)")

@@ -60,15 +60,6 @@ class ProbeError(ReproError):
     """
 
 
-class ServeError(ReproError):
-    """A ``repro serve`` request failed at the protocol level.
-
-    Examples: a malformed request line, an unknown op code, a spec
-    that does not deserialize, or a response stream that ended before
-    the final ``done`` message.
-    """
-
-
 class CheckError(ReproError):
     """Base class for the correctness-tooling layer (``repro.checks``)."""
 

@@ -8,10 +8,9 @@ Four layers, each usable on its own:
 * :mod:`repro.probes.sampler` -- the **ProbeSampler** observer:
   snapshots a probe selection every N cycles into a preallocated
   ring buffer, bit-identical results whether attached or not;
-* :mod:`repro.probes.publish` / :mod:`repro.probes.watch` -- the
-  **streaming transport**: a process-global publisher hook feeding
-  ``repro serve``'s ``watch`` protocol, plus the synchronous client
-  and terminal renderer behind ``repro watch``;
+* :mod:`repro.probes.watch` -- the **terminal renderer** behind
+  ``repro watch``, which runs an experiment in process and prints its
+  sampled frames;
 * :mod:`repro.probes.slo` / :mod:`repro.probes.flightrec` -- the
   **QoS-violation flight recorder**: declarative SLO rules checked
   per frame; violations dump ring history + a Perfetto trace slice
@@ -25,12 +24,6 @@ from repro.probes.flightrec import (
     FlightRecorder,
 )
 from repro.probes.map import Probe, ProbeMap, build_probe_map
-from repro.probes.publish import (
-    FrameRelay,
-    clear_publisher,
-    get_publisher,
-    set_publisher,
-)
 from repro.probes.sampler import (
     DEFAULT_PROBE_PERIOD,
     PROBE_PERIOD_ENV,
@@ -43,13 +36,12 @@ from repro.probes.slo import (
     parse_rules,
     rules_from_json,
 )
-from repro.probes.watch import WatchView, iter_watch, probe_list
+from repro.probes.watch import WatchView
 
 __all__ = [
     "DEFAULT_FLIGHTREC_DIR",
     "DEFAULT_PROBE_PERIOD",
     "FLIGHTREC_ENV",
-    "FrameRelay",
     "FlightRecorder",
     "PROBE_PERIOD_ENV",
     "Probe",
@@ -60,12 +52,7 @@ __all__ = [
     "SloViolation",
     "WatchView",
     "build_probe_map",
-    "clear_publisher",
-    "get_publisher",
-    "iter_watch",
     "parse_rules",
-    "probe_list",
     "resolve_probe_period",
     "rules_from_json",
-    "set_publisher",
 ]

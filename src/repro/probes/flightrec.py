@@ -19,7 +19,7 @@ deterministic (the DET lint discipline).
 
 :meth:`FlightRecorder.from_env` arms a recorder from environment
 knobs alone (``REPRO_SLO`` = rules as inline JSON or a file path),
-which is how served/CLI runs inject SLOs without touching
+which is how benchmark and CLI runs inject SLOs without touching
 :class:`~repro.runner.spec.RunSpec` hashing.
 """
 
@@ -45,6 +45,22 @@ SLO_ENV = "REPRO_SLO"
 
 #: Default dump root (relative to the working directory).
 DEFAULT_FLIGHTREC_DIR = os.path.join("results", "flightrec")
+
+
+def load_rules(raw: str) -> List[SloRule]:
+    """SLO rules from inline JSON (a list) or a path to a JSON file.
+
+    Raises:
+        ProbeError: the rules are malformed or the file is unreadable.
+    """
+    raw = raw.strip()
+    if raw.startswith("["):
+        return rules_from_json(raw)
+    try:
+        with open(raw, encoding="utf-8") as fh:
+            return rules_from_json(fh.read())
+    except OSError as exc:
+        raise ProbeError(f"SLO rules {raw!r}: cannot read file: {exc}") from None
 
 
 class FlightRecorder:
@@ -86,32 +102,25 @@ class FlightRecorder:
     @staticmethod
     def from_env(
         context: Optional[Dict[str, Any]] = None,
+        slo: Optional[str] = None,
+        out_dir: Optional[str] = None,
     ) -> Optional["FlightRecorder"]:
         """Recorder configured from ``REPRO_SLO``/``REPRO_FLIGHTREC``.
 
-        Returns ``None`` when ``REPRO_SLO`` is unset/empty (the common
-        case: no recorder, no sampler, zero overhead).  ``REPRO_SLO``
-        may be inline JSON (a list of rule strings/dicts) or a path to
-        a JSON file with the same content.
+        ``slo`` and ``out_dir``, when given, take precedence over the
+        two knobs (this is how ``repro watch --slo/--flightrec`` arm
+        it).  Returns ``None`` when no rules are given and
+        ``REPRO_SLO`` is unset/empty (the common case: no recorder, no
+        sampler, zero overhead).
 
         Raises:
-            ProbeError: the rules are malformed.
+            ProbeError: the rules are malformed or unreadable.
         """
-        raw = os.environ.get(SLO_ENV, "").strip()
+        raw = (slo or os.environ.get(SLO_ENV, "")).strip()
         if not raw:
             return None
-        if raw.lstrip().startswith("["):
-            rules = rules_from_json(raw)
-        else:
-            try:
-                with open(raw, encoding="utf-8") as fh:
-                    rules = rules_from_json(fh.read())
-            except OSError as exc:
-                raise ProbeError(
-                    f"{SLO_ENV}={raw!r}: cannot read rules file: {exc}"
-                ) from None
-        out_dir = os.environ.get(FLIGHTREC_ENV, "").strip() or None
-        return FlightRecorder(rules, out_dir=out_dir, context=context)
+        out_dir = out_dir or os.environ.get(FLIGHTREC_ENV, "").strip() or None
+        return FlightRecorder(load_rules(raw), out_dir=out_dir, context=context)
 
     # ------------------------------------------------------------------
     # arming
@@ -159,15 +168,14 @@ class FlightRecorder:
     # ------------------------------------------------------------------
     # dumping
     # ------------------------------------------------------------------
-    # repro: claim-protocol -- the exclusive mkdir *is* the claim
     def _next_dump_dir(self) -> str:
         """First free ``dump_<k>`` directory (deterministic naming).
 
         The slot is claimed with an exclusive ``mkdir`` instead of
         list-then-create: two recorders sharing an ``out_dir`` (e.g.
-        parallel serve batches) race the listing, but only one of two
-        concurrent ``mkdir`` calls on the same path can succeed, so
-        the loser simply probes the next index.
+        two ``repro watch`` processes) race the listing, but only one
+        of two concurrent ``mkdir`` calls on the same path can
+        succeed, so the loser simply probes the next index.
         """
         os.makedirs(self.out_dir, exist_ok=True)
         k = 0

@@ -12,8 +12,8 @@ sampler is attached or not -- the differential tests in
 
 The ring is allocated once at construction (``capacity`` rows of
 ``len(probes)`` slots each); the per-tick work is one read + one list
-store per probe, with zero allocation.  Consumers (the serve-side
-frame publisher, the flight recorder) subscribe via
+store per probe, with zero allocation.  Consumers (the ``repro watch``
+printer, the flight recorder) subscribe via
 :attr:`ProbeSampler.consumers` and receive ``(now, names, row)`` --
 the *live* row, which they must copy if they keep it.
 """

@@ -1,92 +1,13 @@
-"""Synchronous ``watch`` client and the terminal frame renderer.
+"""The terminal frame renderer behind ``repro watch``.
 
-The client side of the ``repro serve`` watch protocol (see
-:mod:`repro.runner.serve`): subscribe over the Unix socket, iterate
-frames as in-flight runs publish them.  The renderer turns raw probe
-frames into the live per-master view ``repro watch`` prints --
-bandwidth, throttle duty, budget headroom, last latency -- deriving
-rates from deltas between consecutive frames.
+Turns raw probe frames into the live per-master view ``repro watch``
+prints -- bandwidth, throttle duty, budget headroom, last latency --
+deriving rates from deltas between consecutive frames.
 """
 
 from __future__ import annotations
 
-import json
-import socket
-from typing import Any, Dict, Iterator, List, Optional, Sequence
-
-from repro.errors import ServeError
-
-
-def iter_watch(
-    socket_path: str,
-    probes: Optional[Sequence[str]] = None,
-    max_frames: Optional[int] = None,
-    timeout: Optional[float] = None,
-    request_id: Any = 0,
-) -> Iterator[Dict[str, Any]]:
-    """Subscribe to probe frames from a :class:`BatchServer`.
-
-    Yields the server's messages in order: optional ``meta`` dicts
-    (``{"probes": [...]}``) and ``frame`` dicts (``{"frame": {...}}``)
-    until ``max_frames`` frames were delivered (server closes the
-    subscription with a ``done`` line) or the connection ends.
-
-    Args:
-        socket_path: The server's Unix socket.
-        probes: Optional glob patterns; the server filters frame
-            values to matching probe names.
-        max_frames: Stop after this many frames (``None`` = stream
-            until the connection drops).
-        timeout: Per-read socket timeout in seconds (``None`` waits
-            indefinitely).
-        request_id: Echoed back by the server.
-
-    Raises:
-        ServeError: The server answered with a protocol error.
-    """
-    payload: Dict[str, Any] = {"op": "watch", "id": request_id}
-    if probes:
-        payload["probes"] = list(probes)
-    if max_frames is not None:
-        payload["max_frames"] = max_frames
-    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
-        sock.settimeout(timeout)
-        sock.connect(socket_path)
-        sock.sendall(json.dumps(payload).encode("utf-8") + b"\n")
-        with sock.makefile("r", encoding="utf-8") as stream:
-            for line in stream:
-                message = json.loads(line)
-                if message.get("error"):
-                    raise ServeError(str(message["error"]))
-                if message.get("watching"):
-                    continue  # subscription ack
-                if message.get("done"):
-                    return
-                yield message
-
-
-def probe_list(
-    socket_path: str, timeout: Optional[float] = 5.0, request_id: Any = 0
-) -> List[Dict[str, Any]]:
-    """Probe metadata of the most recent published run (may be empty).
-
-    Raises:
-        ServeError: The server answered with a protocol error or the
-            connection ended before a reply.
-    """
-    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as sock:
-        sock.settimeout(timeout)
-        sock.connect(socket_path)
-        request = {"op": "probe_list", "id": request_id}
-        sock.sendall(json.dumps(request).encode("utf-8") + b"\n")
-        with sock.makefile("r", encoding="utf-8") as stream:
-            line = stream.readline()
-    if not line:
-        raise ServeError("connection closed before the probe list arrived")
-    message = json.loads(line)
-    if message.get("error"):
-        raise ServeError(str(message["error"]))
-    return list(message.get("probes", []))
+from typing import Any, Dict, List, Optional
 
 
 class WatchView:

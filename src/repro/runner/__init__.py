@@ -1,27 +1,21 @@
-"""Parallel experiment execution with content-addressed caching.
+"""In-process experiment execution with content-addressed caching.
 
 The benchmark suite is dominated by *independent* cycle-level runs:
 sweeps over regulator settings, solo baselines, scenario grids.  This
-package turns such a workload from a serial loop into a pipeline:
+package turns such a workload into a deduplicated, cached batch:
 
 * :class:`RunSpec` -- a serializable description of one run (platform
   config + horizon + stop condition) with a stable content hash;
 * :class:`RunSummary` -- the plain-data outcome of a run, the part of
-  :class:`~repro.soc.experiment.PlatformResult` that can cross process
-  boundaries and round-trip through JSON;
+  :class:`~repro.soc.experiment.PlatformResult` that can round-trip
+  through JSON;
 * :class:`ResultCache` -- an on-disk store keyed by spec hash, so a
   solo baseline shared by many figures is simulated exactly once;
-* :class:`ParallelRunner` -- fans specs out over a persistent
-  :class:`WorkerPool` with deterministic result ordering, graceful
-  in-process fallback, and cross-process single-flight claims;
-* :mod:`repro.runner.serve` -- a local batch front-end
-  (``repro serve``) that coalesces identical in-flight specs across
-  many clients before they ever reach the pool.
+* :class:`ParallelRunner` -- runs a batch of specs in process, in spec
+  order, after dropping duplicates and cache hits.
 
-Environment knobs: ``REPRO_JOBS`` overrides the worker count
-(``auto`` = affinity/cgroup-aware CPU count), ``REPRO_CACHE`` selects
-the cache directory (``off`` disables it), ``REPRO_CLAIM_TTL`` tunes
-single-flight claim expiry.
+Environment knob: ``REPRO_CACHE`` selects the cache directory
+(``off`` disables it).
 
 Example::
 
@@ -35,28 +29,16 @@ Example::
 
 from repro.runner.spec import RunSpec, config_from_dict, config_to_dict
 from repro.runner.summary import RunSummary
-from repro.runner.cache import CacheClaim, ResultCache
-from repro.runner.pool import PoolUnavailable, WorkerPool
-from repro.runner.parallel import (
-    ParallelRunner,
-    RunnerStats,
-    default_workers,
-    execute_spec,
-    resolve_workers,
-)
+from repro.runner.cache import ResultCache
+from repro.runner.parallel import ParallelRunner, RunnerStats, execute_spec
 
 __all__ = [
     "RunSpec",
     "RunSummary",
     "ResultCache",
-    "CacheClaim",
     "ParallelRunner",
     "RunnerStats",
-    "WorkerPool",
-    "PoolUnavailable",
     "execute_spec",
-    "default_workers",
-    "resolve_workers",
     "config_to_dict",
     "config_from_dict",
 ]

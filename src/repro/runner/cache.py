@@ -11,15 +11,7 @@ Layout: entries are **sharded** by the first two hex characters of the
 content hash (``<root>/<hh>/<hash>.json``, 256 directories), so a
 store holding hundreds of thousands of entries never produces a
 directory large enough for lookups, temp-file creation, or ``ls`` to
-crawl.  Entries written by older versions directly under the root are
-still found and are migrated into their shard on first read.
-
-Single-flight: concurrent sweeps deduplicate *in-flight* work through
-claim files (``<hash>.claim``, created with ``O_EXCL`` next to the
-entry).  A runner that wins the claim computes and publishes the
-entry; any other process that loses the claim can :meth:`wait` for
-the entry instead of re-simulating.  Claims expire after a TTL so a
-crashed claimant can only ever cost time, never wedge a sweep.
+crawl.
 
 Robustness rules:
 
@@ -27,7 +19,7 @@ Robustness rules:
   spec hash on read; anything corrupt, truncated, or stale is
   *discarded and recomputed*, never trusted and never fatal;
 * writes are atomic (temp file + ``os.replace``), so a crashed or
-  parallel writer can not leave a torn entry behind;
+  concurrent writer can not leave a torn entry behind;
 * the whole mechanism turns off with ``REPRO_CACHE=off``.
 """
 
@@ -37,7 +29,6 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-import time
 from typing import Optional
 
 from repro.errors import CacheError
@@ -58,41 +49,6 @@ DEFAULT_CACHE_DIR = ".repro_cache"
 #: name: 2 -> 256 shards.
 SHARD_CHARS = 2
 
-#: Claims older than this are considered abandoned and may be broken
-#: by any process (seconds); override per-cache or with
-#: ``REPRO_CLAIM_TTL``.
-DEFAULT_CLAIM_TTL = 600.0
-
-#: Environment override for the claim TTL (seconds, float).
-CLAIM_TTL_ENV = "REPRO_CLAIM_TTL"
-
-
-class CacheClaim:
-    """Exclusive right to compute one spec, backed by an O_EXCL file.
-
-    Returned by :meth:`ResultCache.try_claim`; call :meth:`release`
-    once the entry is published (or the computation abandoned) so
-    waiting processes stop polling immediately instead of waiting out
-    the TTL.
-    """
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self._released = False
-
-    @property
-    def released(self) -> bool:
-        return self._released
-
-    def release(self) -> None:
-        """Drop the claim (idempotent, never raises)."""
-        if self._released:
-            return
-        self._released = True
-        try:
-            os.unlink(self.path)
-        except OSError:
-            pass
 
 
 class ResultCache:
@@ -100,20 +56,10 @@ class ResultCache:
 
     Args:
         root: Cache directory; created lazily on the first write.
-        claim_ttl: Seconds before an unreleased claim file counts as
-            abandoned (default :data:`DEFAULT_CLAIM_TTL`, overridable
-            with ``REPRO_CLAIM_TTL``).
     """
 
-    def __init__(
-        self,
-        root: str = DEFAULT_CACHE_DIR,
-        claim_ttl: Optional[float] = None,
-    ) -> None:
+    def __init__(self, root: str = DEFAULT_CACHE_DIR) -> None:
         self.root = root
-        if claim_ttl is None:
-            claim_ttl = _claim_ttl_from_env()
-        self.claim_ttl = claim_ttl
         #: Lifetime lookup accounting (cumulative across batches; a
         #: poisoned entry counts as both ``poisoned`` and ``misses``
         #: because the caller recomputes it).
@@ -135,30 +81,15 @@ class ResultCache:
             return None
         return cls(value or DEFAULT_CACHE_DIR)
 
-    # ------------------------------------------------------------------
-    # paths
-    # ------------------------------------------------------------------
-    def shard_for(self, digest: str) -> str:
-        """Shard directory holding ``digest``'s entry."""
-        return os.path.join(self.root, digest[:SHARD_CHARS])
+    def _entry_path(self, digest: str) -> str:
+        return os.path.join(
+            self.root, digest[:SHARD_CHARS], f"{digest}.json"
+        )
 
     def path_for(self, spec: RunSpec) -> str:
         """Filesystem path of the entry for ``spec``."""
-        digest = spec.content_hash()
-        return os.path.join(self.shard_for(digest), f"{digest}.json")
+        return self._entry_path(spec.content_hash())
 
-    def claim_path_for(self, spec: RunSpec) -> str:
-        """Filesystem path of the claim file for ``spec``."""
-        digest = spec.content_hash()
-        return os.path.join(self.shard_for(digest), f"{digest}.claim")
-
-    def _legacy_path_for(self, digest: str) -> str:
-        """Pre-sharding flat location (``<root>/<hash>.json``)."""
-        return os.path.join(self.root, f"{digest}.json")
-
-    # ------------------------------------------------------------------
-    # read / write
-    # ------------------------------------------------------------------
     def get(self, spec: RunSpec) -> Optional[RunSummary]:
         """Return the cached summary for ``spec``, or None on a miss.
 
@@ -166,68 +97,40 @@ class ResultCache:
         mismatch, malformed payload) is deleted so the caller simply
         recomputes; corruption can cost time, never correctness.
         """
-        summary = self._lookup(spec)
-        if summary is None:
+        digest = spec.content_hash()
+        path = self._entry_path(digest)
+        try:
+            with open(path) as fh:
+                payload = json.load(fh)
+            if payload["schema"] != CACHE_SCHEMA:
+                raise CacheError(f"schema {payload['schema']!r}")
+            if payload["spec_hash"] != digest:
+                raise CacheError("spec hash mismatch")
+            summary = RunSummary.from_dict(payload["summary"])
+        except FileNotFoundError:
             self.misses += 1
+            return None
+        except Exception as exc:
+            self.poisoned += 1
+            self.misses += 1
+            _log.warning("discarding poisoned cache entry %s (%s)", path, exc)
+            try:
+                os.unlink(path)
+            except OSError:
+                pass
             return None
         self.hits += 1
         return summary
 
-    def _lookup(self, spec: RunSpec) -> Optional[RunSummary]:
-        """Uncounted lookup shared by :meth:`get` and :meth:`wait`."""
-        digest = spec.content_hash()
-        path = os.path.join(self.shard_for(digest), f"{digest}.json")
-        try:
-            return self._load(path, digest)
-        except FileNotFoundError:
-            pass
-        except Exception as exc:
-            self.poisoned += 1
-            _log.warning("discarding poisoned cache entry %s (%s)", path, exc)
-            self._discard(path)
-            return None
-        legacy = self._legacy_path_for(digest)
-        try:
-            summary = self._load(legacy, digest)
-        except FileNotFoundError:
-            return None
-        except Exception as exc:
-            self.poisoned += 1
-            _log.warning(
-                "discarding poisoned cache entry %s (%s)", legacy, exc
-            )
-            self._discard(legacy)
-            return None
-        self._migrate(legacy, path)
-        return summary
-
-    @staticmethod
-    def _load(path: str, digest: str) -> RunSummary:
-        """Read and validate one entry (raises on anything suspect)."""
-        with open(path) as fh:
-            payload = json.load(fh)
-        if payload["schema"] != CACHE_SCHEMA:
-            raise CacheError(f"schema {payload['schema']!r}")
-        if payload["spec_hash"] != digest:
-            raise CacheError("spec hash mismatch")
-        return RunSummary.from_dict(payload["summary"])
-
-    def _migrate(self, legacy: str, path: str) -> None:
-        """Move a flat pre-sharding entry into its shard (best-effort)."""
-        try:
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            os.replace(legacy, path)
-        except OSError:  # pragma: no cover - racing migrators
-            pass
-
     def put(self, spec: RunSpec, summary: RunSummary) -> str:
         """Atomically store ``summary`` under ``spec``'s hash."""
-        path = self.path_for(spec)
+        digest = spec.content_hash()
+        path = self._entry_path(digest)
         shard = os.path.dirname(path)
         os.makedirs(shard, exist_ok=True)
         payload = {
             "schema": CACHE_SCHEMA,
-            "spec_hash": spec.content_hash(),
+            "spec_hash": digest,
             "summary": summary.to_dict(),
         }
         fd, tmp = tempfile.mkstemp(dir=shard, suffix=".tmp")
@@ -242,94 +145,3 @@ class ResultCache:
                 pass
             raise
         return path
-
-    # ------------------------------------------------------------------
-    # single-flight claims
-    # ------------------------------------------------------------------
-    def try_claim(self, spec: RunSpec) -> Optional[CacheClaim]:
-        """Claim the exclusive right to compute ``spec``.
-
-        Returns:
-            A :class:`CacheClaim` when this process won (compute, then
-            :meth:`put` and release); ``None`` when another process
-            holds a *fresh* claim -- :meth:`wait` for its entry
-            instead.  A stale claim (older than the TTL) is broken and
-            re-contested.
-        """
-        path = self.claim_path_for(spec)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
-        for _ in range(2):
-            try:
-                fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            except FileExistsError:
-                if self._claim_stale(path):
-                    _log.warning("breaking stale cache claim %s", path)
-                    self._discard(path)
-                    continue
-                return None
-            except OSError:  # pragma: no cover - unwritable cache dir
-                # A cache that cannot hold claims still caches; the
-                # caller simply computes without single-flight.
-                return CacheClaim(path)
-            with os.fdopen(fd, "w") as fh:
-                json.dump({"pid": os.getpid()}, fh)
-            return CacheClaim(path)
-        return None
-
-    def _claim_stale(self, path: str) -> bool:
-        try:
-            age = time.time() - os.stat(path).st_mtime  # repro: allow[DET001]
-        except OSError:
-            return False  # vanished: released, not stale
-        return age > self.claim_ttl
-
-    def wait(
-        self,
-        spec: RunSpec,
-        timeout: float = 600.0,
-        poll_seconds: float = 0.05,
-    ) -> Optional[RunSummary]:
-        """Wait for another process's in-flight entry for ``spec``.
-
-        Polls until the entry appears, the claim disappears or goes
-        stale (claimant finished without publishing, or crashed), or
-        ``timeout`` elapses.
-
-        Returns:
-            The published summary, or ``None`` when the caller should
-            compute the spec itself.
-        """
-        claim = self.claim_path_for(spec)
-        deadline = time.perf_counter() + timeout
-        while True:
-            summary = self._lookup(spec)
-            if summary is not None:
-                return summary
-            if not os.path.exists(claim) or self._claim_stale(claim):
-                # Claim gone or abandoned: one final look, since the
-                # claimant publishes *before* releasing.
-                return self._lookup(spec)
-            if time.perf_counter() >= deadline:
-                return None
-            time.sleep(poll_seconds)
-
-    @staticmethod
-    def _discard(path: str) -> None:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-
-
-def _claim_ttl_from_env() -> float:
-    value = os.environ.get(CLAIM_TTL_ENV, "").strip()
-    if not value:
-        return DEFAULT_CLAIM_TTL
-    try:
-        ttl = float(value)
-    except ValueError:
-        _log.warning(
-            "ignoring malformed %s=%r (want seconds)", CLAIM_TTL_ENV, value
-        )
-        return DEFAULT_CLAIM_TTL
-    return ttl if ttl > 0 else DEFAULT_CLAIM_TTL

@@ -1,118 +1,61 @@
-"""Fan independent runs out over a persistent process pool.
+"""Run batches of independent specs in process, with dedup and caching.
 
 Simulation runs share nothing (every :class:`Platform` builds a fresh
-simulator), so a batch of :class:`RunSpec` objects is embarrassingly
-parallel.  :class:`ParallelRunner` exploits that while keeping the
-semantics of a serial loop:
+simulator), so a batch of :class:`RunSpec` objects is a plain loop
+over :func:`execute_spec`.  :class:`ParallelRunner` wraps that loop
+with the two things a benchmark suite needs on top of it:
 
-* **deterministic ordering** -- results come back in spec order no
-  matter which worker finishes first;
 * **dedup** -- specs with equal content hashes are simulated once per
   batch (a sweep that re-states its solo baseline pays for it once);
 * **caching** -- an optional :class:`ResultCache` is consulted before
-  and fed after execution, so repeated suites cost zero simulations;
-* **single-flight** -- with a cache attached, cross-process claim
-  files guarantee that two concurrent sweeps never simulate the same
-  spec twice: one runner computes, the other waits for the entry;
-* **graceful fallback** -- one worker, one outstanding spec, or a
-  platform where process pools are unavailable (restricted
-  containers, missing ``fork``/semaphores) all degrade to plain
-  in-process execution with identical results.
+  and fed after execution, so repeated suites cost zero simulations.
 
-Worker sizing is container-aware: the automatic count prefers the
-scheduling affinity mask (``os.sched_getaffinity``) over the raw CPU
-count and clamps it by the cgroup-v2 ``cpu.max`` quota, so a 4-CPU
-box whose cgroup grants 2 CPUs gets 2 workers, not 4.  ``REPRO_JOBS``
-overrides (``auto`` or a positive integer), and the resolved count's
-*provenance* is recorded in :attr:`RunnerStats.worker_source` so a
-serial fallback is always diagnosable from a bench record alone.
+Results always come back in spec order.  The class keeps its name
+because external profiling tools resolve ``ParallelRunner.run`` by
+name; everything runs in the calling process.
 """
 
 from __future__ import annotations
 
-# repro: config-layer -- this module resolves environment knobs
-import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence
 
-from repro.errors import ConfigError
 from repro.monitor.window import WindowedBandwidthMonitor
 from repro.probes.flightrec import FlightRecorder
-from repro.probes.publish import FrameRelay, get_publisher
 from repro.probes.sampler import ProbeSampler
-from repro.runner.cache import CacheClaim, ResultCache
-from repro.runner.pool import PoolUnavailable, WorkerPool
+from repro.runner.cache import ResultCache
 from repro.runner.spec import RunSpec
 from repro.runner.summary import RunSummary
 from repro.soc.experiment import PlatformResult
 from repro.soc.platform import Platform
-from repro.telemetry.log import get_logger
-
-#: Environment override for the worker count (``auto`` or a positive
-#: integer; unset/empty means ``auto``).
-JOBS_ENV = "REPRO_JOBS"
-
-#: cgroup-v2 CPU quota file: ``"<quota> <period>"`` or ``"max <period>"``.
-_CGROUP_CPU_MAX = "/sys/fs/cgroup/cpu.max"
-
-#: How long a runner waits on another process's in-flight claim before
-#: giving up and computing the spec itself (seconds).
-DEFAULT_CLAIM_WAIT = 600.0
-
-_log = get_logger(__name__)
 
 
-def _attach_probe_plane(
-    platform: Platform, spec: RunSpec
-) -> Optional[str]:
-    """Attach the live probe plane when anyone is listening.
+def _attach_flight_recorder(platform: Platform, spec: RunSpec) -> None:
+    """Arm the SLO flight recorder when ``REPRO_SLO`` asks for one.
 
     Samplers are observers only (daemon ticks, pure reads), so runs
-    stay bit-identical attached or detached; but when neither a frame
-    publisher (``repro watch`` via serve) nor a flight recorder
-    (``REPRO_SLO``) is active, no sampler is built at all and the run
-    pays literally zero observation cost.
-
-    Returns the spec's content hash when a publisher is active (the
-    caller owes it a terminal ``end`` event), else ``None``.
+    stay bit-identical attached or detached; without ``REPRO_SLO`` no
+    sampler is built at all and the run pays zero observation cost.
     """
-    publisher = get_publisher()
     recorder = FlightRecorder.from_env()
-    if publisher is None and recorder is None:
-        return None
-    digest = spec.content_hash()
+    if recorder is None:
+        return
     sampler = ProbeSampler(platform.sim, platform.probes)
-    if recorder is not None:
-        recorder.context.setdefault("spec", digest)
-        recorder.arm(sampler)
-    if publisher is not None:
-        publisher(
-            {
-                "event": "meta",
-                "run": digest,
-                "probes": sampler.map.describe(sampler.probes),
-            }
-        )
-        sampler.consumers.append(FrameRelay(publisher, digest))
+    recorder.context.setdefault("spec", spec.content_hash())
+    recorder.arm(sampler)
     sampler.attach()
-    return digest if publisher is not None else None
 
 
 def execute_spec(spec: RunSpec) -> RunSummary:
-    """Run one spec to completion, in this process.
-
-    The module-level entry point every execution path shares (serial
-    loop, pool worker, cache warm-up), which is what guarantees the
-    three paths cannot diverge.
-    """
+    """Run one spec to completion, in this process."""
     platform = Platform(spec.config)
     monitor = None
     if spec.monitor_master is not None:
         monitor = WindowedBandwidthMonitor(
             platform.port(spec.monitor_master), spec.monitor_bin_cycles
         )
-    published = _attach_probe_plane(platform, spec)
+    _attach_flight_recorder(platform, spec)
     elapsed = platform.run(
         spec.max_cycles,
         stop_when_critical_done=spec.stop_when_critical_done,
@@ -124,115 +67,13 @@ def execute_spec(spec: RunSpec) -> RunSummary:
         bins = (
             tuple(monitor.window_bytes(horizon)) if horizon else ()
         )
-    summary = RunSummary.from_result(
+    return RunSummary.from_result(
         result,
         monitor_bins=bins,
         monitor_bin_cycles=(
             spec.monitor_bin_cycles if monitor is not None else None
         ),
     )
-    if published is not None:
-        publisher = get_publisher()
-        if publisher is not None:
-            publisher({"event": "end", "run": published})
-    return summary
-
-
-def _timed_execute(spec: RunSpec) -> Tuple[RunSummary, float]:
-    """Run one spec and measure its wall time.
-
-    Wraps (rather than changes) :func:`execute_spec` so the measured
-    entry point used by the runner stays byte-identical to the public
-    one; the per-spec seconds feed the runner telemetry report.
-    """
-    start = time.perf_counter()
-    summary = execute_spec(spec)
-    return summary, time.perf_counter() - start
-
-
-# ----------------------------------------------------------------------
-# worker resolution
-# ----------------------------------------------------------------------
-def _cgroup_cpu_quota(path: str = _CGROUP_CPU_MAX) -> Optional[int]:
-    """CPU count granted by the cgroup-v2 quota, or ``None``.
-
-    ``cpu.max`` holds ``"<quota-us> <period-us>"`` (or ``"max ..."``
-    for unlimited); the effective CPU count is ``ceil(quota/period)``.
-    Unreadable, unlimited, or malformed files all mean "no clamp".
-    """
-    try:
-        with open(path) as fh:
-            parts = fh.read().split()
-    except OSError:
-        return None
-    if len(parts) != 2 or parts[0] == "max":
-        return None
-    try:
-        quota, period = int(parts[0]), int(parts[1])
-    except ValueError:
-        return None
-    if quota <= 0 or period <= 0:
-        return None
-    return -(-quota // period)
-
-
-def _affinity_cpus() -> Tuple[int, str]:
-    """CPUs this process may run on, with the figure's provenance.
-
-    Prefers the scheduling affinity mask (what taskset/cgroup cpusets
-    actually allow) over ``os.cpu_count()`` (what the machine has).
-    """
-    getter = getattr(os, "sched_getaffinity", None)
-    if getter is not None:
-        try:
-            cpus = len(getter(0))
-        except OSError:  # pragma: no cover - exotic kernels only
-            cpus = 0
-        if cpus:
-            return cpus, "sched_getaffinity"
-    return (os.cpu_count() or 1), "os.cpu_count"
-
-
-def resolve_workers() -> Tuple[int, str]:
-    """Resolve the automatic worker count and its provenance.
-
-    Returns:
-        ``(count, source)`` where ``source`` is one of
-        ``"REPRO_JOBS=<n>"``, ``"sched_getaffinity"``,
-        ``"os.cpu_count"``, or ``"cgroup cpu.max=<q> (clamps ...)"``.
-
-    Raises:
-        ConfigError: ``REPRO_JOBS`` is not ``auto`` or a positive
-            integer.  ``REPRO_JOBS=0`` is rejected explicitly (it used
-            to mean auto; say ``auto`` or unset the variable).
-    """
-    value = os.environ.get(JOBS_ENV, "").strip()
-    if value and value.lower() != "auto":
-        try:
-            jobs = int(value)
-        except ValueError:
-            raise ConfigError(
-                f"{JOBS_ENV} must be 'auto' or a positive integer, "
-                f"got {value!r}"
-            )
-        if jobs == 0:
-            raise ConfigError(
-                f"{JOBS_ENV}=0 is not a worker count; use "
-                f"{JOBS_ENV}=auto (or unset it) for automatic sizing"
-            )
-        if jobs < 0:
-            raise ConfigError(f"{JOBS_ENV} must be >= 1, got {jobs}")
-        return jobs, f"{JOBS_ENV}={jobs}"
-    cpus, source = _affinity_cpus()
-    quota = _cgroup_cpu_quota()
-    if quota is not None and quota < cpus:
-        return quota, f"cgroup cpu.max={quota} (clamps {source}={cpus})"
-    return cpus, source
-
-
-def default_workers() -> int:
-    """Automatic worker count (see :func:`resolve_workers`)."""
-    return resolve_workers()[0]
 
 
 @dataclass
@@ -248,33 +89,11 @@ class RunnerStats:
         cache_poisoned: Corrupt/stale entries this batch discarded.
         deduped: Satisfied by another spec in the same batch with an
             equal content hash.
-        executed: Simulations actually performed (including any
-            single-flight waits that timed out and ran locally).
-        single_flight_waited: Specs another process was already
-            computing, satisfied by waiting for its cache entry
-            instead of re-simulating.
-        mode: ``"parallel"`` or ``"serial"`` for the executed part
-            (``"serial"`` when nothing ran in a pool).
-        workers: Worker processes the executed part actually used
-            (1 whenever nothing ran in a pool).
-        worker_source: Provenance of the resolved worker count
-            (``"explicit argument"``, ``"REPRO_JOBS=<n>"``,
-            ``"sched_getaffinity"``, ``"os.cpu_count"``, or the
-            cgroup-clamp description).
-        recovered: Specs re-executed in the parent because a pool
-            worker crashed mid-batch.
+        executed: Simulations actually performed.
         wall_seconds: End-to-end wall time of the batch (cache
             lookups included).
-        spec_seconds: Per-executed-spec simulation seconds.
-            **Ordering invariant:** entry *i* belongs to the *i*-th
-            spec of the executed work list (batch order after dedup /
-            cache hits / foreign claims), regardless of which worker
-            finished first -- work-stealing must never scramble
-            per-spec attribution.
-        fallback_reason: Why the executed part ran serially (``None``
-            when it ran in a pool, or when nothing executed):
-            ``"max_workers=1"``, ``"single spec in batch"``, or the
-            exception that made the process pool unavailable.
+        spec_seconds: Per-executed-spec simulation seconds, in
+            execution order (batch order after dedup and cache hits).
     """
 
     total: int = 0
@@ -283,260 +102,69 @@ class RunnerStats:
     cache_poisoned: int = 0
     deduped: int = 0
     executed: int = 0
-    single_flight_waited: int = 0
-    mode: str = "serial"
-    workers: int = 1
-    worker_source: Optional[str] = None
-    recovered: int = 0
     wall_seconds: float = 0.0
     spec_seconds: List[float] = field(default_factory=list)
-    fallback_reason: Optional[str] = None
 
 
 class ParallelRunner:
-    """Run batches of :class:`RunSpec` with pooling, dedup and caching.
-
-    The runner owns a persistent :class:`~repro.runner.pool.WorkerPool`
-    that outlives individual :meth:`run` batches: workers are spawned
-    on the first parallel batch and reused until :meth:`close` (or the
-    worker count changes).  Specs are dispatched as one future each
-    from the pool's shared queue, so a straggler spec cannot serialize
-    a batch; pass ``chunk_size`` to opt into contiguous chunking for
-    sweeps of many tiny specs.
+    """Run batches of :class:`RunSpec` with dedup and caching.
 
     Args:
-        max_workers: Process count; ``None`` or ``"auto"`` = automatic
-            (``REPRO_JOBS`` override, else affinity/cgroup-aware CPU
-            count).  ``1`` forces in-process serial execution.
         cache: Optional on-disk result cache (see
             :meth:`ResultCache.from_env`); ``None`` disables caching.
-        chunk_size: Specs per pool submission (default: 1, i.e.
-            per-spec work stealing).
-        single_flight: With a cache attached, claim specs via
-            cross-process ``O_EXCL`` claim files so concurrent
-            runners never compute the same spec twice (default on;
-            meaningless without a cache).
-        claim_wait_seconds: How long to wait on another process's
-            claim before computing the spec locally anyway.
     """
 
-    def __init__(
-        self,
-        max_workers: Union[int, str, None] = None,
-        cache: Optional[ResultCache] = None,
-        chunk_size: Optional[int] = None,
-        single_flight: bool = True,
-        claim_wait_seconds: float = DEFAULT_CLAIM_WAIT,
-    ) -> None:
-        if isinstance(max_workers, str):
-            if max_workers.strip().lower() != "auto":
-                raise ConfigError(
-                    f"max_workers must be an integer >= 1, None, or "
-                    f"'auto', got {max_workers!r}"
-                )
-            max_workers = None
-        if max_workers is not None and max_workers < 1:
-            raise ConfigError(f"max_workers must be >= 1, got {max_workers}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ConfigError(f"chunk_size must be >= 1, got {chunk_size}")
-        self._explicit_workers = max_workers
+    def __init__(self, cache: Optional[ResultCache] = None) -> None:
         self.cache = cache
-        self.chunk_size = chunk_size
-        self.single_flight = single_flight
-        self.claim_wait_seconds = claim_wait_seconds
-        self._pool: Optional[WorkerPool] = None
         #: Accounting of the most recent :meth:`run` call.
         self.last_stats = RunnerStats()
 
-    @property
-    def max_workers(self) -> int:
-        """Effective worker count for the next batch."""
-        return self.worker_resolution()[0]
-
-    def worker_resolution(self) -> Tuple[int, str]:
-        """``(count, provenance)`` for the next batch's worker count."""
-        if self._explicit_workers is not None:
-            return self._explicit_workers, "explicit argument"
-        return resolve_workers()
-
-    # ------------------------------------------------------------------
-    # pool lifecycle
-    # ------------------------------------------------------------------
-    @property
-    def pool(self) -> Optional[WorkerPool]:
-        """The persistent worker pool (``None`` until first used)."""
-        return self._pool
-
-    def _ensure_pool(self, workers: int) -> WorkerPool:
-        if self._pool is not None and (
-            self._pool.workers != workers
-            or self._pool.chunk_size != self.chunk_size
-        ):
-            self._pool.close()
-            self._pool = None
-        if self._pool is None:
-            self._pool = WorkerPool(
-                workers, _timed_execute, chunk_size=self.chunk_size
-            )
-        return self._pool
-
-    def close(self) -> None:
-        """Shut down the persistent worker pool (if one was started)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-
-    def __enter__(self) -> "ParallelRunner":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # execution
-    # ------------------------------------------------------------------
     def run(self, specs: Sequence[RunSpec]) -> List[RunSummary]:
         """Execute every spec; results are returned in spec order.
 
         Identical specs (equal content hashes) are simulated once and
-        their summary shared; cached specs are not simulated at all;
-        specs another process is already computing (fresh claim file)
-        are awaited rather than recomputed.
+        their summary shared; cached specs are not simulated at all.
         """
         stats = RunnerStats(total=len(specs))
-        stats.worker_source = self.worker_resolution()[1]
         self.last_stats = stats
         if not specs:
             return []
         batch_start = time.perf_counter()
-        misses_before = self.cache.misses if self.cache is not None else 0
-        poisoned_before = (
-            self.cache.poisoned if self.cache is not None else 0
-        )
+        cache = self.cache
+        misses_before = cache.misses if cache is not None else 0
+        poisoned_before = cache.poisoned if cache is not None else 0
 
         by_hash: Dict[str, RunSummary] = {}
         hashes = [spec.content_hash() for spec in specs]
-
-        # Unique work list, preserving first-occurrence order, split
-        # into specs we own (claimed or claimless) and specs some
-        # other process has in flight.
-        owned: List[RunSpec] = []
-        owned_hashes: List[str] = []
-        claims: Dict[str, CacheClaim] = {}
-        foreign: List[Tuple[RunSpec, str]] = []
+        todo: List[RunSpec] = []
+        todo_hashes: List[str] = []
         seen = set()
-        use_claims = self.cache is not None and self.single_flight
         for spec, digest in zip(specs, hashes):
             if digest in seen:
                 stats.deduped += 1
                 continue
             seen.add(digest)
-            if self.cache is not None:
-                cached = self.cache.get(spec)
+            if cache is not None:
+                cached = cache.get(spec)
                 if cached is not None:
                     by_hash[digest] = cached
                     stats.cache_hits += 1
                     continue
-            if use_claims:
-                assert self.cache is not None
-                claim = self.cache.try_claim(spec)
-                if claim is None:
-                    foreign.append((spec, digest))
-                    continue
-                claims[digest] = claim
-            owned.append(spec)
-            owned_hashes.append(digest)
+            todo.append(spec)
+            todo_hashes.append(digest)
 
-        if self.cache is not None:
-            stats.cache_misses = self.cache.misses - misses_before
-            stats.cache_poisoned = self.cache.poisoned - poisoned_before
+        if cache is not None:
+            stats.cache_misses = cache.misses - misses_before
+            stats.cache_poisoned = cache.poisoned - poisoned_before
 
-        try:
-            if owned:
-                summaries = self._execute(owned, stats)
-                for spec, digest, summary in zip(
-                    owned, owned_hashes, summaries
-                ):
-                    by_hash[digest] = summary
-                    if self.cache is not None:
-                        self.cache.put(spec, summary)
-                    claim = claims.pop(digest, None)
-                    if claim is not None:
-                        claim.release()
-                stats.executed = len(owned)
-        finally:
-            # A failed batch must not leave fresh claims behind: other
-            # runners would wait out the TTL for a result that will
-            # never arrive.
-            for claim in claims.values():
-                claim.release()
-            claims.clear()
-
-        for spec, digest in foreign:
-            assert self.cache is not None
-            summary = self.cache.wait(spec, timeout=self.claim_wait_seconds)
-            if summary is None:
-                # The claimant died, stalled past the TTL, or is
-                # slower than our patience: compute locally so the
-                # batch always completes.
-                summary, seconds = _timed_execute(spec)
-                stats.spec_seconds.append(seconds)
-                stats.executed += 1
-                self.cache.put(spec, summary)
-            else:
-                stats.single_flight_waited += 1
+        for spec, digest in zip(todo, todo_hashes):
+            start = time.perf_counter()
+            summary = execute_spec(spec)
+            stats.spec_seconds.append(time.perf_counter() - start)
             by_hash[digest] = summary
+            if cache is not None:
+                cache.put(spec, summary)
+        stats.executed = len(todo)
 
         stats.wall_seconds = time.perf_counter() - batch_start
         return [by_hash[digest] for digest in hashes]
-
-    def _execute(
-        self, specs: List[RunSpec], stats: RunnerStats
-    ) -> List[RunSummary]:
-        max_workers = self.max_workers
-        workers = min(max_workers, len(specs))
-        if workers > 1:
-            try:
-                pool = self._ensure_pool(max_workers)
-                recovered_before = pool.recovered
-                pairs = pool.map(specs)
-            except PoolUnavailable as exc:
-                # Keep the cause: BENCH_runner.json reports showing
-                # "serial, 1 worker" are undiagnosable without it.
-                cause = exc.__cause__
-                stats.fallback_reason = (
-                    f"{type(cause).__name__}: {cause}"
-                    if cause is not None
-                    else "process pool unavailable"
-                )
-                _log.info(
-                    "process pool unavailable (%s); running %d specs serially",
-                    stats.fallback_reason,
-                    len(specs),
-                )
-            else:
-                stats.mode = "parallel"
-                stats.workers = workers
-                stats.recovered = pool.recovered - recovered_before
-                results = []
-                for summary, seconds in pairs:
-                    stats.spec_seconds.append(seconds)
-                    results.append(summary)
-                return results
-        elif max_workers == 1:
-            stats.fallback_reason = "max_workers=1"
-        else:
-            stats.fallback_reason = "single spec in batch"
-        stats.mode = "serial"
-        stats.workers = 1
-        results = []
-        for spec in specs:
-            summary, seconds = _timed_execute(spec)
-            stats.spec_seconds.append(seconds)
-            results.append(summary)
-        return results
-
-
-#: Backwards-compatible alias; the signal now lives in
-#: :mod:`repro.runner.pool`.
-_PoolUnavailable = PoolUnavailable

@@ -1,13 +1,13 @@
-"""Plain-data run results that survive process and disk boundaries.
+"""Plain-data run results that survive the trip to disk.
 
 :class:`~repro.soc.experiment.PlatformResult` holds the live platform
 (ports, monitors, the simulator itself) and therefore cannot be
-pickled to a worker process or written to a cache.  :class:`RunSummary`
+written to a cache.  :class:`RunSummary`
 is the measured part promoted to a first-class dataclass: per-master
 figures, DRAM figures, the QoS reconfiguration log, and (optionally)
 the fine-grained monitor trace a spec requested.  It round-trips
 through JSON byte-identically, which is what lets the determinism
-tests assert serial == parallel == cache-hit.
+tests assert that a cache hit equals a fresh run.
 """
 
 from __future__ import annotations

@@ -152,8 +152,8 @@ class PlatformResult:
     def summary(self) -> "RunSummary":
         """Snapshot into a plain-data :class:`~repro.runner.summary.RunSummary`.
 
-        The summary is picklable and JSON round-trippable, which is
-        what the parallel runner and the result cache move around; the
+        The summary is JSON round-trippable, which is what the
+        runner and the result cache move around; the
         live platform stays behind.
         """
         from repro.runner.summary import RunSummary

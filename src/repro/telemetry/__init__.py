@@ -17,7 +17,7 @@ place:
 * :mod:`repro.telemetry.perfetto` -- Chrome/Perfetto trace-event
   export of transaction lifecycles and regulator throttle intervals.
 * :mod:`repro.telemetry.runreport` -- JSON reports of how a runner
-  batch executed (timing, cache behaviour, worker utilization).
+  batch executed (timing, cache behaviour, dedup).
 """
 
 from repro.telemetry.log import (

@@ -1,13 +1,13 @@
 """Runner batch telemetry reports.
 
-The parallel runner already accounts for what it did
+The runner already accounts for what it did
 (:class:`~repro.runner.parallel.RunnerStats`: cache hits, dedup,
 executed count, wall time, per-spec timings).  This module freezes
 one batch's accounting into a :class:`RunnerTelemetry` record and
 writes it as a JSON report next to the results it describes, so a
 sweep leaves behind *how it ran* alongside *what it computed* --
 the record ``scripts/bench_smoke.py`` appends into
-``BENCH_runner.json`` (schema 4).
+``BENCH_runner.json``.
 """
 
 from __future__ import annotations
@@ -16,11 +16,10 @@ import json
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Optional, Tuple
 
-#: Report format version.  2: adds ``worker_source`` (provenance of
-#: the resolved worker count), ``recovered`` (worker-crash
-#: re-executions), and ``single_flight_waited`` (specs satisfied by
-#: another process's in-flight computation).
-REPORT_SCHEMA = 2
+#: Report format version.  3: drops the worker-pool fields (``mode``,
+#: ``workers``, ``worker_source``, ``recovered``, ``fallback_reason``,
+#: ``single_flight_waited``); every batch runs in process.
+REPORT_SCHEMA = 3
 
 
 @dataclass(frozen=True)
@@ -34,26 +33,12 @@ class RunnerTelemetry:
         cache_misses: Cache lookups in this batch that found nothing.
         cache_poisoned: Corrupt/stale entries this batch discarded.
         deduped: Specs satisfied by an equal-hash batch sibling.
-        mode: ``"parallel"`` or ``"serial"``.
-        workers: Worker processes used for the executed part.
-        worker_source: Provenance of the resolved worker count
-            (``"REPRO_JOBS=<n>"``, ``"sched_getaffinity"``,
-            ``"os.cpu_count"``, a cgroup-clamp description, or
-            ``"explicit argument"``) -- the figure that makes a
-            serial fallback diagnosable from the record alone.
-        recovered: Specs re-executed in the parent after a worker
-            crash.
-        single_flight_waited: Specs satisfied by waiting on another
-            process's in-flight cache claim instead of re-simulating.
         wall_seconds: Wall-clock time of the whole batch.
         spec_seconds: Per-executed-spec simulation seconds, in
-            execution-list order (a hard invariant of the runner:
-            work stealing never scrambles attribution).
-        utilization: Busy fraction of the worker pool:
-            ``sum(spec_seconds) / (wall_seconds * workers)``.
-        fallback_reason: Why a serial batch did not use a pool
-            (``None`` for parallel batches); see
-            :class:`~repro.runner.parallel.RunnerStats`.
+            execution order.
+        utilization: Share of the batch's wall time spent simulating:
+            ``sum(spec_seconds) / wall_seconds`` (the rest is hashing,
+            cache I/O and summarising).
     """
 
     total: int
@@ -62,15 +47,9 @@ class RunnerTelemetry:
     cache_misses: int
     cache_poisoned: int
     deduped: int
-    mode: str
-    workers: int
     wall_seconds: float
     spec_seconds: Tuple[float, ...] = field(default_factory=tuple)
     utilization: float = 0.0
-    fallback_reason: Optional[str] = None
-    worker_source: Optional[str] = None
-    recovered: int = 0
-    single_flight_waited: int = 0
 
     @classmethod
     def from_runner(cls, runner: "object") -> "RunnerTelemetry":
@@ -79,7 +58,6 @@ class RunnerTelemetry:
         the stats' per-batch deltas, not the cache's lifetime totals,
         so reports written after every batch stay disjoint)."""
         stats = runner.last_stats
-        workers = max(getattr(stats, "workers", 1), 1)
         wall = getattr(stats, "wall_seconds", 0.0)
         spec_seconds = tuple(getattr(stats, "spec_seconds", ()))
         busy = sum(spec_seconds)
@@ -90,15 +68,9 @@ class RunnerTelemetry:
             cache_misses=getattr(stats, "cache_misses", 0),
             cache_poisoned=getattr(stats, "cache_poisoned", 0),
             deduped=stats.deduped,
-            mode=stats.mode,
-            workers=workers,
             wall_seconds=wall,
             spec_seconds=spec_seconds,
-            utilization=(busy / (wall * workers)) if wall > 0 else 0.0,
-            fallback_reason=getattr(stats, "fallback_reason", None),
-            worker_source=getattr(stats, "worker_source", None),
-            recovered=getattr(stats, "recovered", 0),
-            single_flight_waited=getattr(stats, "single_flight_waited", 0),
+            utilization=(busy / wall) if wall > 0 else 0.0,
         )
 
     def to_dict(self) -> Dict[str, object]:

@@ -6,31 +6,10 @@ from repro.errors import ConfigError
 from repro.analysis.sweep import format_table, geometric_space, sweep
 
 
-def _square_row(v):
-    """Module-level (picklable) sweep function for the parallel tests."""
-    return {"v": v, "sq": v * v}
-
-
 class TestSweep:
     def test_runs_in_order(self):
         rows = sweep([1, 2, 3], lambda v: {"v": v, "sq": v * v})
         assert rows == [{"v": 1, "sq": 1}, {"v": 2, "sq": 4}, {"v": 3, "sq": 9}]
-
-    def test_parallel_matches_serial(self):
-        values = list(range(8))
-        serial = sweep(values, _square_row)
-        parallel = sweep(values, _square_row, parallel=True, max_workers=2)
-        assert parallel == serial
-
-    def test_parallel_with_closure_falls_back(self):
-        # Lambdas cannot cross the process boundary; the call must
-        # still return correct rows via the serial path.
-        rows = sweep([1, 2, 3], lambda v: {"v": v}, parallel=True,
-                     max_workers=2)
-        assert rows == [{"v": 1}, {"v": 2}, {"v": 3}]
-
-    def test_parallel_single_value_stays_serial(self):
-        assert sweep([4], _square_row, parallel=True) == [{"v": 4, "sq": 16}]
 
 
 class TestGeometricSpace:

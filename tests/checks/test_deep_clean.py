@@ -1,10 +1,10 @@
 """The shipped tree must pass ``repro check deep`` with its baseline.
 
 Same acceptance gate as ``test_self_clean`` but for the whole-program
-analyses: the committed deep baseline records pre-existing HOT debt
-surfaced by propagation (recorded, not hidden), and no CONC finding
-survives.  Fingerprints are path-relative to the repo root,
-so everything here runs from there, exactly as CI does.
+hot-path propagation; the committed deep baseline may only record
+HOT debt surfaced by propagation (recorded, not hidden).  Fingerprints
+are path-relative to the repo root, so everything here runs from
+there, exactly as CI does.
 """
 
 import json
@@ -26,40 +26,26 @@ def repo_root(monkeypatch):
 
 def test_shipped_tree_is_deep_clean(repo_root):
     baseline = load_baseline(DEFAULT_DEEP_BASELINE)
-    result = run_deep(["src"], baseline=baseline, jobs=1)
+    result = run_deep(["src"], baseline=baseline)
     assert result.errors == [], [f.format_human() for f in result.errors]
     assert result.warnings == []
 
 
 def test_deep_baseline_is_hot_debt_only(repo_root):
     baseline = load_baseline(DEFAULT_DEEP_BASELINE)
-    result = run_deep(["src"], baseline=baseline, jobs=1)
+    result = run_deep(["src"], baseline=baseline)
     families = {f.rule_id[:3] for f in result.baselined}
-    assert families <= {"HOT"}  # CONC must be fixed, never baselined
+    assert families <= {"HOT"}
 
 
-def test_hot_and_worker_analyses_are_populated(repo_root):
-    result = run_deep(["src"], jobs=1)
+def test_hot_analysis_is_populated(repo_root):
+    result = run_deep(["src"])
     hot = result.analyses["hot"]
     assert hot["anchored"] > 0
     assert hot["reachable"] >= hot["anchored"]
     assert hot["propagated"] == hot["reachable"] - hot["anchored"]
     assert "repro.axi.port.MasterPort.head" in hot["roots"]
-    conc = result.analyses["conc"]
-    assert (
-        "repro.runner.parallel._timed_execute" in conc["worker_roots"]
-    )
-    assert conc["worker_reachable"] > 0
-    assert conc["async_roots"] > 0
-
-
-def test_parallel_scan_matches_serial(repo_root):
-    serial = run_deep(["src"], jobs=1)
-    parallel = run_deep(["src"], jobs=4)  # falls back serial if no pool
-    assert [f.fingerprint() for f in serial.findings] == [
-        f.fingerprint() for f in parallel.findings
-    ]
-    assert serial.files == parallel.files
+    assert set(result.analyses) == {"hot"}
 
 
 class TestDeepCli:
@@ -70,7 +56,6 @@ class TestDeepCli:
         assert payload["errors"] == 0
         assert payload["analyses"]["hot"]["reachable"] > 0
         assert payload["analyses"]["hot"]["roots"]
-        assert payload["analyses"]["conc"]["worker_reachable"] > 0
 
     def test_violation_exit_one(self, tmp_path, capsys, monkeypatch):
         monkeypatch.chdir(tmp_path)  # empty default deep baseline

@@ -207,7 +207,7 @@ class TestReachability:
                 return x
             """
         ))
-        result = run_deep([str(path)], jobs=1)
+        result = run_deep([str(path)])
         assert [f.rule_id for f in result.findings] == ["HOT001"]
         assert result.analyses["hot"]["reachable"] == 3
         assert result.analyses["hot"]["roots"] == ["hotmod.root"]
@@ -231,9 +231,9 @@ class TestReachability:
         )
         path = tmp_path / "hotmod.py"
         path.write_text(anchored)
-        with_anchor = run_deep([str(path)], jobs=1)
+        with_anchor = run_deep([str(path)])
         path.write_text(anchored.replace("# repro: hot\n", ""))
-        without_anchor = run_deep([str(path)], jobs=1)
+        without_anchor = run_deep([str(path)])
         assert with_anchor.analyses["hot"]["reachable"] == 3
         assert without_anchor.analyses["hot"]["reachable"] == 0
         assert without_anchor.analyses["hot"]["roots"] == []

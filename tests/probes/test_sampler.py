@@ -1,15 +1,17 @@
 """Sampler mechanics and the attached-vs-detached differential.
 
-The headline guarantee of the probe plane: attaching a sampler (or a
-publisher-driven sampler inside :func:`repro.runner.execute_spec`)
+The headline guarantee of the probe plane: attaching a sampler (or the
+flight recorder's sampler inside :func:`repro.runner.execute_spec`)
 leaves every reported result **byte-identical**, whichever event
 queue the kernel dispatches from.
 """
 
+import json
+
 import pytest
 
 from repro.errors import ProbeError
-from repro.probes.publish import clear_publisher, set_publisher
+from repro.probes.flightrec import FLIGHTREC_ENV, SLO_ENV
 from repro.probes.sampler import (
     DEFAULT_PROBE_PERIOD,
     PROBE_PERIOD_ENV,
@@ -119,39 +121,28 @@ class TestSampling:
         assert elapsed < 5_000_000
 
 
-def _summary_json(seed, attach):
-    spec = RunSpec(
-        config=zcu102(num_accels=2, cpu_work=300, seed=seed),
-        max_cycles=200_000,
-    )
-    if attach:
-        events = []
-        set_publisher(events.append)
-        try:
-            text = execute_spec(spec).to_json()
-        finally:
-            clear_publisher()
-        kinds = [e["event"] for e in events]
-        assert kinds[0] == "meta"
-        assert kinds[-1] == "end"
-        assert "frame" in kinds
-        return text
-    return execute_spec(spec).to_json()
-
-
 @pytest.mark.parametrize("scheduler", sorted(QUEUES))
 class TestBitIdentity:
-    def test_publisher_sampler_leaves_results_byte_identical(
-        self, scheduler, monkeypatch
+    def test_recorder_sampler_leaves_results_identical(
+        self, scheduler, monkeypatch, tmp_path
     ):
-        """execute_spec with the probe plane active (publisher set -->
-        sampler attached, frames streamed) returns the same serialized
-        summary as a bare run, on each queue."""
+        """execute_spec with the probe plane active (``REPRO_SLO`` set
+        --> sampler attached, a violation dumped) returns the same
+        serialized summary as a bare run, on each queue."""
         use_queue(monkeypatch, scheduler)
         monkeypatch.setenv("REPRO_PROBE_PERIOD", "512")
-        bare = _summary_json(3, attach=False)
-        probed = _summary_json(3, attach=True)
+        monkeypatch.delenv(SLO_ENV, raising=False)
+        spec = RunSpec(
+            config=zcu102(num_accels=2, cpu_work=300, seed=3),
+            max_cycles=200_000,
+        )
+        bare = execute_spec(spec).to_json()
+        monkeypatch.setenv(SLO_ENV, '["dram/bytes<=1"]')
+        monkeypatch.setenv(FLIGHTREC_ENV, str(tmp_path))
+        probed = execute_spec(spec).to_json()
         assert bare == probed
+        history = tmp_path / "dump_000" / "history.json"
+        assert json.loads(history.read_text()), "sampler never sampled"
 
     def test_direct_sampler_leaves_platform_results_identical(
         self, scheduler, monkeypatch

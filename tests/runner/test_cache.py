@@ -1,21 +1,14 @@
 """Unit tests for the on-disk result cache.
 
-Covers the sharded layout (and migration of legacy flat entries),
-poison handling, the single-flight claim protocol, and the wait path
-a losing runner uses to pick up another process's result.
+Covers the sharded layout, atomic writes, poison handling and the
+``REPRO_CACHE`` knob.
 """
 
 import json
 import os
-import threading
-import time
 
 from repro.runner import ResultCache, RunSpec, execute_spec
-from repro.runner.cache import (
-    CACHE_SCHEMA,
-    DEFAULT_CLAIM_TTL,
-    SHARD_CHARS,
-)
+from repro.runner.cache import CACHE_SCHEMA, SHARD_CHARS
 from repro.soc.presets import zcu102
 
 
@@ -71,42 +64,6 @@ class TestShardedLayout:
         assert _tree(tmp_path) == [
             os.path.join(digest[:SHARD_CHARS], f"{digest}.json")
         ]
-
-    def test_legacy_flat_entry_found_and_migrated(self, tmp_path):
-        cache = ResultCache(root=str(tmp_path))
-        spec = small_spec()
-        summary = execute_spec(spec)
-        digest = spec.content_hash()
-        # Simulate an entry written by a pre-sharding version.
-        legacy = os.path.join(str(tmp_path), f"{digest}.json")
-        payload = {
-            "schema": CACHE_SCHEMA,
-            "spec_hash": digest,
-            "summary": summary.to_dict(),
-        }
-        with open(legacy, "w") as fh:
-            json.dump(payload, fh)
-        back = cache.get(spec)
-        assert back is not None
-        assert back.to_json() == summary.to_json()
-        # Migrated into its shard on first read; flat copy gone.
-        assert not os.path.exists(legacy)
-        assert os.path.exists(cache.path_for(spec))
-        # And a second lookup hits the sharded copy directly.
-        assert cache.get(spec) is not None
-        assert cache.hits == 2
-
-    def test_poisoned_legacy_entry_discarded(self, tmp_path):
-        cache = ResultCache(root=str(tmp_path))
-        spec = small_spec()
-        legacy = os.path.join(
-            str(tmp_path), f"{spec.content_hash()}.json"
-        )
-        with open(legacy, "w") as fh:
-            fh.write("{torn")
-        assert cache.get(spec) is None
-        assert not os.path.exists(legacy)
-        assert cache.poisoned == 1
 
 
 class TestPoisonedEntries:
@@ -177,122 +134,3 @@ class TestEnvControl:
         cache = ResultCache.from_env()
         assert cache is not None
         assert cache.root == str(tmp_path / "alt")
-
-    def test_claim_ttl_from_env(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CLAIM_TTL", "5")
-        assert ResultCache(root=str(tmp_path)).claim_ttl == 5.0
-
-    def test_malformed_claim_ttl_falls_back(self, monkeypatch, tmp_path):
-        for value in ("soon", "-3", "0"):
-            monkeypatch.setenv("REPRO_CLAIM_TTL", value)
-            cache = ResultCache(root=str(tmp_path))
-            assert cache.claim_ttl == DEFAULT_CLAIM_TTL
-
-    def test_explicit_ttl_beats_env(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CLAIM_TTL", "5")
-        cache = ResultCache(root=str(tmp_path), claim_ttl=9.0)
-        assert cache.claim_ttl == 9.0
-
-
-class TestClaims:
-    def test_first_claim_wins_second_loses(self, tmp_path):
-        spec = small_spec()
-        winner = ResultCache(root=str(tmp_path))
-        loser = ResultCache(root=str(tmp_path))  # separate process stand-in
-        claim = winner.try_claim(spec)
-        assert claim is not None
-        assert os.path.exists(claim.path)
-        assert loser.try_claim(spec) is None
-
-    def test_release_reopens_the_claim(self, tmp_path):
-        spec = small_spec()
-        cache = ResultCache(root=str(tmp_path))
-        claim = cache.try_claim(spec)
-        assert claim is not None
-        claim.release()
-        assert claim.released
-        assert not os.path.exists(claim.path)
-        claim.release()  # idempotent
-        again = ResultCache(root=str(tmp_path)).try_claim(spec)
-        assert again is not None
-        again.release()
-
-    def test_stale_claim_is_broken(self, tmp_path):
-        spec = small_spec()
-        holder = ResultCache(root=str(tmp_path))
-        claim = holder.try_claim(spec)
-        assert claim is not None
-        past = time.time() - 3600  # repro: allow[DET001]
-        os.utime(claim.path, (past, past))
-        thief = ResultCache(root=str(tmp_path), claim_ttl=1.0)
-        stolen = thief.try_claim(spec)
-        assert stolen is not None
-        stolen.release()
-
-    def test_claim_lives_in_the_entry_shard(self, tmp_path):
-        spec = small_spec()
-        cache = ResultCache(root=str(tmp_path))
-        assert os.path.dirname(
-            cache.claim_path_for(spec)
-        ) == os.path.dirname(cache.path_for(spec))
-
-
-class TestWait:
-    def test_wait_returns_published_entry(self, tmp_path):
-        spec = small_spec()
-        cache = ResultCache(root=str(tmp_path))
-        summary = execute_spec(spec)
-        cache.put(spec, summary)
-        # Entry present: returns immediately, claim or no claim.
-        back = cache.wait(spec, timeout=1.0)
-        assert back is not None
-        assert back.to_json() == summary.to_json()
-
-    def test_wait_picks_up_claimants_result(self, tmp_path):
-        spec = small_spec()
-        claimant = ResultCache(root=str(tmp_path))
-        waiter = ResultCache(root=str(tmp_path))
-        summary = execute_spec(spec)
-        claim = claimant.try_claim(spec)
-        assert claim is not None
-
-        def publish():
-            time.sleep(0.15)
-            claimant.put(spec, summary)
-            claim.release()
-
-        thread = threading.Thread(target=publish)
-        thread.start()
-        try:
-            back = waiter.wait(spec, timeout=10.0, poll_seconds=0.01)
-        finally:
-            thread.join()
-        assert back is not None
-        assert back.to_json() == summary.to_json()
-
-    def test_wait_times_out_on_orphan_claim(self, tmp_path):
-        spec = small_spec()
-        cache = ResultCache(root=str(tmp_path))
-        claim = cache.try_claim(spec)  # never released, never published
-        assert claim is not None
-        assert cache.wait(spec, timeout=0.2, poll_seconds=0.01) is None
-
-    def test_wait_returns_none_when_claim_released_unpublished(
-        self, tmp_path
-    ):
-        spec = small_spec()
-        cache = ResultCache(root=str(tmp_path))
-        claim = cache.try_claim(spec)
-        assert claim is not None
-        claim.release()
-        # Claim gone, nothing published: caller should compute.
-        assert cache.wait(spec, timeout=5.0, poll_seconds=0.01) is None
-
-    def test_wait_does_not_count_as_lookup_traffic(self, tmp_path):
-        spec = small_spec()
-        cache = ResultCache(root=str(tmp_path))
-        claim = cache.try_claim(spec)
-        assert claim is not None
-        cache.wait(spec, timeout=0.1, poll_seconds=0.01)
-        assert cache.hits == 0
-        assert cache.misses == 0

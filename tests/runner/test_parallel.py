@@ -1,25 +1,18 @@
-"""Tests for the parallel runner: ordering, dedup, caching, fallback.
+"""Tests for the runner: ordering, dedup and caching.
 
 The determinism contract (same seed => byte-identical summaries from
-the serial, parallel, and cache-hit paths) is asserted here; it is
-what makes ``parallel=True`` safe to use in every benchmark.
+direct execution, the runner, and a cache hit) is asserted here; it
+is what makes the result cache safe to use in every benchmark.
 """
 
 import pytest
 
-from repro.errors import ConfigError
 from repro.runner import (
     ParallelRunner,
     ResultCache,
     RunSpec,
     execute_spec,
 )
-from repro.runner.parallel import (
-    _timed_execute,
-    default_workers,
-    resolve_workers,
-)
-from repro.runner.pool import PoolUnavailable, WorkerPool, _run_chunk
 from repro.soc.presets import zcu102
 
 
@@ -42,27 +35,18 @@ class TestDeterminism:
     def test_serial_runner_matches_direct_execution(
         self, spec_batch, serial_batch
     ):
-        runner = ParallelRunner(max_workers=1)
+        runner = ParallelRunner()
         out = runner.run(list(spec_batch))
         assert [s.to_json() for s in out] == [
             s.to_json() for s in serial_batch
         ]
-        assert runner.last_stats.mode == "serial"
-
-    def test_parallel_matches_serial_byte_identically(
-        self, spec_batch, serial_batch
-    ):
-        with ParallelRunner(max_workers=2) as runner:
-            out = runner.run(list(spec_batch))
-        assert [s.to_json() for s in out] == [
-            s.to_json() for s in serial_batch
-        ]
+        assert runner.last_stats.executed == len(spec_batch)
 
     def test_cache_hit_matches_serial_byte_identically(
         self, spec_batch, serial_batch, tmp_path
     ):
         cache = ResultCache(root=str(tmp_path))
-        runner = ParallelRunner(max_workers=1, cache=cache)
+        runner = ParallelRunner(cache=cache)
         runner.run(list(spec_batch))  # populate
         out = runner.run(list(spec_batch))  # all hits, via JSON round-trip
         assert runner.last_stats.executed == 0
@@ -80,22 +64,21 @@ class TestDeterminism:
 
 class TestOrderingAndDedup:
     def test_results_in_spec_order(self, spec_batch, serial_batch):
-        with ParallelRunner(max_workers=2) as runner:
-            reversed_out = runner.run(list(reversed(spec_batch)))
+        reversed_out = ParallelRunner().run(list(reversed(spec_batch)))
         assert [s.to_json() for s in reversed_out] == [
             s.to_json() for s in reversed(serial_batch)
         ]
 
     def test_identical_specs_run_once(self):
         spec = small_spec()
-        runner = ParallelRunner(max_workers=1)
+        runner = ParallelRunner()
         out = runner.run([spec, spec, spec])
         assert runner.last_stats.executed == 1
         assert runner.last_stats.deduped == 2
         assert out[0].to_json() == out[1].to_json() == out[2].to_json()
 
     def test_empty_batch(self):
-        runner = ParallelRunner(max_workers=1)
+        runner = ParallelRunner()
         assert runner.run([]) == []
         assert runner.last_stats.total == 0
 
@@ -104,7 +87,7 @@ class TestCacheIntegration:
     def test_poisoned_entry_recomputed_not_fatal(self, tmp_path):
         cache = ResultCache(root=str(tmp_path))
         spec = small_spec()
-        runner = ParallelRunner(max_workers=1, cache=cache)
+        runner = ParallelRunner(cache=cache)
         first = runner.run([spec])[0]
         with open(cache.path_for(spec), "w") as fh:
             fh.write('{"schema": 1, "spec_hash": "bad"')  # torn write
@@ -118,132 +101,10 @@ class TestCacheIntegration:
     def test_warm_cache_runs_zero_simulations(self, tmp_path):
         cache = ResultCache(root=str(tmp_path))
         specs = [small_spec(seed=s) for s in (4, 5)]
-        ParallelRunner(max_workers=1, cache=cache).run(specs)
-        runner = ParallelRunner(max_workers=1, cache=cache)
+        ParallelRunner(cache=cache).run(specs)
+        runner = ParallelRunner(cache=cache)
         runner.run(specs)
         assert runner.last_stats.executed == 0
-
-
-class TestWorkerSelection:
-    def test_repro_jobs_override(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "7")
-        assert ParallelRunner().max_workers == 7
-        assert default_workers() == 7
-        assert resolve_workers() == (7, "REPRO_JOBS=7")
-
-    def test_explicit_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "7")
-        runner = ParallelRunner(max_workers=2)
-        assert runner.max_workers == 2
-        assert runner.worker_resolution() == (2, "explicit argument")
-
-    def test_auto_env_means_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "auto")
-        count, source = resolve_workers()
-        assert count >= 1
-        assert "REPRO_JOBS" not in source  # affinity/cgroup provenance
-
-    def test_bad_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "lots")
-        with pytest.raises(ConfigError):
-            default_workers()
-
-    def test_zero_env_rejected(self, monkeypatch):
-        # REPRO_JOBS=0 used to mean auto; it is now an explicit error
-        # pointing at REPRO_JOBS=auto.
-        monkeypatch.setenv("REPRO_JOBS", "0")
-        with pytest.raises(ConfigError, match="auto"):
-            default_workers()
-
-    def test_negative_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "-2")
-        with pytest.raises(ConfigError):
-            default_workers()
-
-    def test_invalid_worker_count_rejected(self):
-        with pytest.raises(ConfigError):
-            ParallelRunner(max_workers=0)
-
-    def test_stats_record_worker_source(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "2")
-        runner = ParallelRunner()
-        runner.run([small_spec(), small_spec(seed=2)])
-        assert runner.last_stats.worker_source == "REPRO_JOBS=2"
-        runner.close()
-
-
-class TestFallbackReason:
-    def test_max_workers_one_records_reason(self):
-        runner = ParallelRunner(max_workers=1)
-        runner.run([small_spec(), small_spec(seed=2)])
-        assert runner.last_stats.mode == "serial"
-        assert runner.last_stats.fallback_reason == "max_workers=1"
-
-    def test_single_spec_batch_records_reason(self):
-        runner = ParallelRunner(max_workers=4)
-        runner.run([small_spec()])
-        assert runner.last_stats.mode == "serial"
-        assert runner.last_stats.fallback_reason == "single spec in batch"
-
-    def test_parallel_batch_records_no_reason(self, spec_batch):
-        with ParallelRunner(max_workers=2) as runner:
-            runner.run(list(spec_batch))
-        if runner.last_stats.mode == "parallel":
-            assert runner.last_stats.fallback_reason is None
-        else:
-            # Pool unavailable on this box: the cause must be recorded.
-            assert runner.last_stats.fallback_reason
-
-    def test_warm_cache_batch_records_no_reason(self, tmp_path):
-        cache = ResultCache(root=str(tmp_path))
-        spec = small_spec()
-        ParallelRunner(max_workers=1, cache=cache).run([spec])
-        runner = ParallelRunner(max_workers=1, cache=cache)
-        runner.run([spec])
-        assert runner.last_stats.executed == 0
-        assert runner.last_stats.fallback_reason is None
-
-    def test_pool_failure_records_cause(
-        self, spec_batch, serial_batch, monkeypatch
-    ):
-        def broken_map(self, items):
-            raise PoolUnavailable() from OSError("no /dev/shm")
-
-        monkeypatch.setattr(WorkerPool, "map", broken_map)
-        runner = ParallelRunner(max_workers=2)
-        out = runner.run(list(spec_batch))
-        assert runner.last_stats.mode == "serial"
-        assert runner.last_stats.fallback_reason == "OSError: no /dev/shm"
-        assert [s.to_json() for s in out] == [
-            s.to_json() for s in serial_batch
-        ]
-
-    def test_telemetry_report_surfaces_reason(self):
-        from repro.telemetry import RunnerTelemetry
-
-        runner = ParallelRunner(max_workers=1)
-        runner.run([small_spec()])
-        report = RunnerTelemetry.from_runner(runner)
-        assert report.fallback_reason == "max_workers=1"
-        assert report.to_dict()["fallback_reason"] == "max_workers=1"
-
-
-class TestChunkedSubmission:
-    def test_worker_chunk_matches_direct_execution(self, spec_batch):
-        pairs = _run_chunk(_timed_execute, list(spec_batch))
-        assert [s.to_json() for s, _ in pairs] == [
-            execute_spec(s).to_json() for s in spec_batch
-        ]
-        assert all(seconds > 0 for _, seconds in pairs)
-
-    def test_uneven_batch_matches_serial_byte_identically(self):
-        # 5 specs over 2 workers with chunk_size=2 -> chunks of
-        # 2+2+1; chunk-order reassembly must equal spec order.
-        specs = [small_spec(seed=s) for s in (11, 12, 13, 14, 15)]
-        expected = [execute_spec(s).to_json() for s in specs]
-        with ParallelRunner(max_workers=2, chunk_size=2) as runner:
-            out = runner.run(specs)
-        assert [s.to_json() for s in out] == expected
 
 
 class TestMonitorSpecs:
@@ -258,7 +119,7 @@ class TestMonitorSpecs:
         assert direct.monitor_bin_cycles == 256
         assert sum(direct.monitor_bins) > 0
         cache = ResultCache(root=str(tmp_path))
-        runner = ParallelRunner(max_workers=1, cache=cache)
+        runner = ParallelRunner(cache=cache)
         runner.run([spec])
         cached = runner.run([spec])[0]
         assert cached.monitor_bins == direct.monitor_bins

@@ -1,168 +1,64 @@
-"""Live probe streaming through ``repro serve``: the ``watch`` and
-``probe_list`` ops, the synchronous client, and the frame renderer.
-
-The server executes runs in-process (``max_workers=1``) so the
-process-global publisher installed at server start sees the sampler's
-frames and fans them out to subscribers over the real Unix socket.
+"""``repro watch``: live probe frames from an in-process run, the
+terminal frame renderer, and the flight-recorder wiring of the CLI.
 """
 
-import asyncio
 import json
-import socket
-import threading
-import time
+import os
 
 import pytest
 
-from repro.probes.watch import WatchView, iter_watch, probe_list
-from repro.runner import ParallelRunner, RunSpec
-from repro.runner.serve import BatchServer, request_runs
-from repro.soc.presets import zcu102
-
-pytestmark = pytest.mark.skipif(
-    not hasattr(socket, "AF_UNIX"), reason="requires Unix sockets"
-)
-
-
-def watch_spec(seed=1):
-    # Long enough (hogs + real work) that a 256-cycle sampling period
-    # yields plenty of frames while the run is in flight.
-    return RunSpec(
-        config=zcu102(num_accels=2, cpu_work=400, seed=seed),
-        max_cycles=400_000,
-    )
-
-
-class ServerHarness:
-    """A BatchServer running on its own thread + event loop."""
-
-    def __init__(self, runner, socket_path, **kwargs):
-        self.server = BatchServer(runner, socket_path=socket_path, **kwargs)
-        self.loop = asyncio.new_event_loop()
-        started = threading.Event()
-
-        def main():
-            asyncio.set_event_loop(self.loop)
-            self.loop.run_until_complete(self.server.start())
-            started.set()
-            self.loop.run_forever()
-
-        self.thread = threading.Thread(target=main, daemon=True)
-        self.thread.start()
-        assert started.wait(10), "server failed to start"
-
-    def stop(self):
-        asyncio.run_coroutine_threadsafe(
-            self.server.close(), self.loop
-        ).result(timeout=10)
-        self.loop.call_soon_threadsafe(self.loop.stop)
-        self.thread.join(timeout=10)
-        self.loop.close()
+from repro.cli import main
+from repro.probes.watch import WatchView
 
 
 @pytest.fixture
-def served(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_PROBE_PERIOD", "256")
+def clean_env(monkeypatch, tmp_path):
+    """No SLO/flight-recorder knobs from the caller; cwd is a temp dir."""
     monkeypatch.delenv("REPRO_SLO", raising=False)
-    sock = str(tmp_path / "w.sock")
-    runner = ParallelRunner(max_workers=1)
-    harness = ServerHarness(runner, sock)
-    try:
-        yield sock, harness.server
-    finally:
-        harness.stop()
-        runner.close()
+    monkeypatch.delenv("REPRO_FLIGHTREC", raising=False)
+    monkeypatch.chdir(tmp_path)
+    return tmp_path
 
 
-def subscribe(sock, server, out, **kwargs):
-    """Collect watch messages on a background thread.
-
-    Returns once the server has registered the subscription, so a run
-    requested next cannot start (or finish) before the watcher is in.
-    """
-    registered = server.stats.watches + 1
-
-    def main():
-        for message in iter_watch(sock, timeout=60, **kwargs):
-            out.append(message)
-
-    thread = threading.Thread(target=main)
-    thread.start()
-    deadline = time.monotonic() + 30
-    while server.stats.watches < registered and time.monotonic() < deadline:
-        time.sleep(0.005)
-    return thread
+def watch_frames(capsys, *extra):
+    """Run ``repro watch`` on a small regulated run; return JSON frames."""
+    code = main(
+        [
+            "watch", "zcu102",
+            "--hogs", "2", "--work", "400",
+            "--sample-period", "256",
+            "--json",
+            *extra,
+        ]
+    )
+    assert code == 0
+    lines = capsys.readouterr().out.strip().splitlines()
+    return [json.loads(line) for line in lines if line.startswith("{")]
 
 
 class TestWatchOp:
-    def test_streams_frames_from_inflight_run(self, served):
-        sock, server = served
-        messages = []
-        watcher = subscribe(sock, server, messages, max_frames=3)
-        request_runs(sock, [watch_spec(seed=11)], timeout=120)
-        watcher.join(timeout=60)
-        assert not watcher.is_alive()
-        frames = [m for m in messages if m.get("event") == "frame"]
-        metas = [m for m in messages if m.get("event") == "meta"]
+    def test_streams_frames_from_inflight_run(self, capsys, clean_env):
+        frames = watch_frames(capsys, "--max-frames", "3")
         assert len(frames) == 3
-        assert metas and any(
-            p["name"] == "kernel/now" for p in metas[-1]["probes"]
-        )
+        assert all(f["event"] == "frame" for f in frames)
         assert frames[0]["time"] >= 256
+        assert [f["time"] for f in frames] == sorted(f["time"] for f in frames)
         assert "port/cpu0/bytes" in frames[0]["values"]
-        assert server.stats.watches == 1
-        assert server.stats.frames >= 3
+        assert "kernel/now" in frames[0]["values"]
 
-    def test_probe_filter_restricts_values(self, served):
-        sock, server = served
-        messages = []
-        watcher = subscribe(
-            sock, server, messages, probes=["port/*/bytes"], max_frames=2
+    def test_probe_filter_restricts_values(self, capsys, clean_env):
+        frames = watch_frames(
+            capsys, "--probes", "port/*/bytes", "--max-frames", "2"
         )
-        request_runs(sock, [watch_spec(seed=12)], timeout=120)
-        watcher.join(timeout=60)
-        frames = [m for m in messages if m.get("event") == "frame"]
         assert frames
         for frame in frames:
             assert frame["values"]
             assert all(n.endswith("/bytes") for n in frame["values"])
 
-    def test_unbounded_watch_ends_with_the_run(self, served):
-        sock, server = served
-        messages = []
-        watcher = subscribe(sock, server, messages, max_frames=None)
-        request_runs(sock, [watch_spec(seed=13)], timeout=120)
-        watcher.join(timeout=60)
-        assert not watcher.is_alive(), "watch must end on the run's end event"
-        assert messages[-1].get("event") == "end"
-        assert any(m.get("event") == "frame" for m in messages)
-
-    def test_probe_list_reflects_last_run(self, served):
-        sock, server = served
-        assert probe_list(sock) == []
-        messages = []
-        watcher = subscribe(sock, server, messages, max_frames=1)
-        request_runs(sock, [watch_spec(seed=14)], timeout=120)
-        watcher.join(timeout=60)
-        listed = probe_list(sock)
-        names = {p["name"] for p in listed}
-        assert "kernel/now" in names
-        assert "port/acc0/bytes" in names
-
-    def test_bad_watch_arguments_are_error_lines(self, served):
-        sock, _server = served
-        for line in (
-            '{"op": "watch", "max_frames": 0}',
-            '{"op": "watch", "max_frames": "soon"}',
-            '{"op": "watch", "probes": "not-a-list"}',
-        ):
-            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
-                raw.settimeout(10)
-                raw.connect(sock)
-                raw.sendall(line.encode() + b"\n")
-                with raw.makefile("r", encoding="utf-8") as stream:
-                    reply = json.loads(stream.readline())
-            assert "error" in reply
+    def test_unbounded_watch_ends_with_the_run(self, capsys, clean_env):
+        frames = watch_frames(capsys)
+        assert len(frames) > 3
+        assert not os.path.exists("results")
 
 
 class TestWatchView:
@@ -208,31 +104,25 @@ class TestCli:
 
         args = build_parser().parse_args(
             [
-                "watch",
-                "--socket", "w.sock",
+                "watch", "adas",
                 "--probes", "port/*/bytes", "reg/*",
                 "--once",
                 "--json",
                 "--max-frames", "5",
-                "--timeout", "3.5",
                 "--sample-period", "512",
                 "--slo", '["dram/bytes<=1"]',
                 "--flightrec", "out",
             ]
         )
         assert args.fn is not None
-        assert args.socket == "w.sock"
+        assert args.experiment == "adas"
         assert args.probes == ["port/*/bytes", "reg/*"]
         assert args.once and args.json
         assert args.max_frames == 5
         assert args.sample_period == 512
 
     def test_watch_local_once_json(self, capsys, monkeypatch, tmp_path):
-        """Local mode: run a small experiment, print one JSON frame."""
-        import os
-
-        from repro.cli import main
-
+        """Run a small experiment, print one JSON frame."""
         monkeypatch.delenv("REPRO_SLO", raising=False)
         monkeypatch.chdir(tmp_path)
         code = main(
@@ -251,8 +141,6 @@ class TestCli:
         assert not os.path.exists(str(tmp_path / "results"))
 
     def test_watch_local_slo_dumps_flightrec(self, capsys, monkeypatch, tmp_path):
-        from repro.cli import main
-
         monkeypatch.chdir(tmp_path)
         code = main(
             [
@@ -268,3 +156,21 @@ class TestCli:
         captured = capsys.readouterr()
         assert (tmp_path / "rec" / "dump_000" / "history.json").is_file()
         assert "flight recorder: dumped" in captured.out
+
+    def test_flightrec_flag_applies_to_env_slo(
+        self, capsys, monkeypatch, clean_env
+    ):
+        """``REPRO_SLO`` supplies the rules, ``--flightrec`` the dump dir."""
+        monkeypatch.setenv("REPRO_SLO", '["dram/bytes<=1"]')
+        watch_frames(capsys, "--once", "--flightrec", "rec")
+        assert (clean_env / "rec" / "dump_000" / "history.json").is_file()
+        assert not (clean_env / "results").exists()
+
+    def test_env_flightrec_applies_to_slo_flag(
+        self, capsys, monkeypatch, clean_env
+    ):
+        """``--slo`` supplies the rules, ``REPRO_FLIGHTREC`` the dump dir."""
+        monkeypatch.setenv("REPRO_FLIGHTREC", "envrec")
+        watch_frames(capsys, "--once", "--slo", '["dram/bytes<=1"]')
+        assert (clean_env / "envrec" / "dump_000" / "history.json").is_file()
+        assert not (clean_env / "results").exists()

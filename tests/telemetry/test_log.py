@@ -49,7 +49,8 @@ class TestGetLogger:
 
     def test_library_modules_use_the_tree(self):
         # Instrumented modules hand out loggers under repro.*.
-        from repro.runner import cache, parallel
+        from repro.probes import flightrec
+        from repro.runner import cache
 
         assert cache._log.name.startswith("repro.")
-        assert parallel._log.name.startswith("repro.")
+        assert flightrec._log.name.startswith("repro.")

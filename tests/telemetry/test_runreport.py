@@ -18,9 +18,7 @@ class _FakeStats:
     cache_misses = 3
     cache_poisoned = 1
     deduped = 1
-    mode = "parallel"
-    workers = 2
-    wall_seconds = 2.0
+    wall_seconds = 4.0
     spec_seconds = [1.0, 2.0]
 
 
@@ -31,8 +29,6 @@ class _LegacyStats:
     executed = 1
     cache_hits = 0
     deduped = 0
-    mode = "serial"
-    workers = 1
     wall_seconds = 1.0
     spec_seconds = [1.0]
 
@@ -51,7 +47,7 @@ class TestFromRunner:
         assert t.total == 4
         assert t.cache_misses == 3
         assert t.cache_poisoned == 1
-        # 3 busy seconds over 2 workers x 2 wall seconds.
+        # 3 simulating seconds out of 4 wall seconds.
         assert t.utilization == 0.75
 
     def test_missing_cache_counters_default_zero(self):
@@ -74,16 +70,16 @@ class TestWrite:
         with open(path) as fh:
             payload = json.load(fh)
         assert payload["suite"] == "unit"
-        assert payload["mode"] == "parallel"
+        assert payload["deduped"] == 1
+        assert "mode" not in payload and "workers" not in payload
 
 
 class TestRealRunnerAccounting:
     def test_serial_batch_records_timings(self):
-        runner = ParallelRunner(max_workers=1, cache=None)
+        runner = ParallelRunner(cache=None)
         runner.run([_spec(100), _spec(150)])
         stats = runner.last_stats
         assert stats.executed == 2
-        assert stats.workers == 1
         assert len(stats.spec_seconds) == 2
         assert all(s > 0 for s in stats.spec_seconds)
         assert stats.wall_seconds >= max(stats.spec_seconds)
@@ -92,7 +88,7 @@ class TestRealRunnerAccounting:
 
     def test_cache_counts_misses_hits_and_poison(self, tmp_path):
         cache = ResultCache(root=str(tmp_path / "cache"))
-        runner = ParallelRunner(max_workers=1, cache=cache)
+        runner = ParallelRunner(cache=cache)
         spec = _spec(100)
         runner.run([spec])
         assert (cache.hits, cache.misses, cache.poisoned) == (0, 1, 0)
