@@ -10,8 +10,7 @@ experiment engine and the simulation kernel under it.
 Appended records carry ``schema: 10`` and a ``kind`` discriminator:
 
 * ``kernel_throughput`` -- raw event-queue events/s at a 128k-event
-  resident population (the E22 headline probe; the trend gate in
-  ``scripts/check_bench_trend.py`` reads it);
+  resident population (the E22 headline probe);
 * ``runner_telemetry``  -- the sweep's execution report
   (:class:`repro.telemetry.RunnerTelemetry`: per-spec seconds,
   cache accounting), nested under ``telemetry``;

@@ -40,7 +40,7 @@ from repro.errors import (
     SanitizerError,
     SimulationError,
 )
-from repro.checks import SanitizingQueue, lint_paths, sanitize_enabled
+from repro.checks.sanitize import SanitizingQueue, sanitize_enabled
 from repro.sim.config import ClockSpec
 from repro.sim.kernel import Simulator
 from repro.axi.bridge import Bridge
@@ -127,9 +127,8 @@ __all__ = [
     "ReproError",
     "SanitizerError",
     "SimulationError",
-    # checks (invariant lint + kernel sanitizer)
+    # kernel sanitizer
     "SanitizingQueue",
-    "lint_paths",
     "sanitize_enabled",
     # kernel / units
     "ClockSpec",

@@ -180,6 +180,7 @@ class MasterPort:
         self._stat_submitted.add()
         self._interconnect.kick()
 
+    # repro: hot -- once per submitted transaction
     def _queue_for(self, txn: Transaction) -> Deque[Transaction]:
         if self._split:
             return self._queues[txn.is_write]
@@ -348,6 +349,7 @@ class MasterPort:
     # ------------------------------------------------------------------
     # regulator support
     # ------------------------------------------------------------------
+    # repro: hot -- once per closed throttle interval
     def _append_throttle(self, start: int, end: int) -> None:
         """Record one closed throttle interval into the bounded ring."""
         log = self._throttle_log
@@ -395,6 +397,7 @@ class MasterPort:
         if self._queued:
             self._interconnect.kick()
 
+    # repro: hot -- once per denied head
     def _schedule_retry(self, at_cycle: int) -> None:
         """Arrange an interconnect kick at ``at_cycle`` (deduplicated)."""
         now = self.sim.now

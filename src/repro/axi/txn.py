@@ -115,6 +115,7 @@ class Transaction:
     # ------------------------------------------------------------------
     # lifecycle transitions (with protocol checking)
     # ------------------------------------------------------------------
+    # repro: hot -- once per transaction
     def mark_issued(self, now: int) -> None:
         if self.issued >= 0:
             raise ProtocolError(f"txn {self.txn_id} issued twice")
@@ -134,6 +135,7 @@ class Transaction:
             raise ProtocolError(f"txn {self.txn_id} started in memory twice")
         self.mem_start = now
 
+    # repro: hot -- once per transaction
     def mark_completed(self, now: int) -> None:
         if self.mem_start < 0:
             raise ProtocolError(f"txn {self.txn_id} completed before memory service")

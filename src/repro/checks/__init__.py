@@ -10,29 +10,16 @@ allocation-free.  This package enforces them mechanically:
   families (DET determinism, HOT hot-path discipline, ERR error
   hygiene, API surface hygiene), inline
   ``# repro: allow[RULE]`` suppressions and a baseline file for
-  grandfathered findings.  Run it with ``repro check lint src/``.
+  grandfathered findings.  HOT rules check exactly the functions that
+  carry a ``# repro: hot`` anchor.  Run it with ``repro check lint src/``.
 * :mod:`repro.checks.sanitize` -- a runtime event-queue sanitizer
   (``REPRO_SANITIZE=1``) wrapping the kernel's event queue with
   dispatch-order, pool double-free and occupancy assertions that raise
   :class:`repro.errors.SanitizerError` with event provenance.
 
+The package imports nothing eagerly: the kernel loads only the
+sanitizer, and the AST engine loads when ``repro check lint`` (or a
+direct import of :mod:`repro.checks.lint`) asks for it.
+
 See ``docs/static-analysis.md`` for the rule catalogue and workflow.
 """
-
-from repro.checks.engine import LintEngine, ModuleContext, Rule, rule
-from repro.checks.findings import Finding, Severity
-from repro.checks.lint import lint_paths
-from repro.checks.sanitize import SANITIZE_ENV, SanitizingQueue, sanitize_enabled
-
-__all__ = [
-    "Finding",
-    "LintEngine",
-    "lint_paths",
-    "ModuleContext",
-    "Rule",
-    "rule",
-    "SANITIZE_ENV",
-    "SanitizingQueue",
-    "sanitize_enabled",
-    "Severity",
-]

@@ -51,14 +51,6 @@ class FunctionInfo:
 
 
 @dataclass
-class ClassInfo:
-    """One class definition."""
-
-    node: ast.ClassDef
-    qualname: str
-
-
-@dataclass
 class ModuleContext:
     """Everything a rule may inspect about one source file."""
 
@@ -69,7 +61,6 @@ class ModuleContext:
     markers: Set[str]  #: module-level ``# repro: <marker>`` comments
     suppressions: Dict[int, Set[str]]  #: line -> allowed rule ids/families
     functions: List[FunctionInfo]
-    classes: List[ClassInfo] = field(default_factory=list)
 
     def source_line(self, line: int) -> str:
         if 1 <= line <= len(self.lines):
@@ -227,26 +218,6 @@ def _collect_functions(
     return functions
 
 
-def _collect_classes(tree: ast.Module) -> List[ClassInfo]:
-    """All class defs with their qualnames."""
-    classes: List[ClassInfo] = []
-
-    def visit(node: ast.AST, prefix: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef):
-                qual = f"{prefix}{child.name}"
-                classes.append(ClassInfo(child, qual))
-                visit(child, f"{qual}.")
-            elif not isinstance(child, (ast.FunctionDef,
-                                        ast.AsyncFunctionDef)):
-                visit(child, prefix)
-            else:
-                visit(child, f"{prefix}{child.name}.")
-
-    visit(tree, "")
-    return classes
-
-
 def build_context(path: str, source: Optional[str] = None) -> ModuleContext:
     """Parse one file into a :class:`ModuleContext`.
 
@@ -272,7 +243,6 @@ def build_context(path: str, source: Optional[str] = None) -> ModuleContext:
         markers=markers,
         suppressions=suppressions,
         functions=_collect_functions(tree, anchors),
-        classes=_collect_classes(tree),
     )
 
 

@@ -69,11 +69,6 @@ class Finding:
         }
 
 
-def finding_sort_key(finding: Finding):
-    """Stable report order: path, then position, then rule id."""
-    return (finding.path, finding.line, finding.col, finding.rule_id)
-
-
 def repro_relpath(path: str) -> Optional[str]:
     """Posix path of ``path`` relative to the ``repro`` package root.
 

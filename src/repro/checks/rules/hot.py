@@ -61,19 +61,14 @@ class NoComprehensionRule(Rule):
 
     def check(self, ctx: ModuleContext) -> Iterable[Finding]:
         for fn in ctx.functions_with("hot"):
-            yield from self.check_function(ctx, fn)
-
-    def check_function(
-        self, ctx: ModuleContext, fn: FunctionInfo
-    ) -> Iterable[Finding]:
-        for node in _body_nodes(fn):
-            if isinstance(node, _COMPREHENSIONS):
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"comprehension in hot path {fn.qualname}(); "
-                    "hoist the allocation or write an explicit loop",
-                )
+            for node in _body_nodes(fn):
+                if isinstance(node, _COMPREHENSIONS):
+                    yield self.finding(
+                        ctx,
+                        node,
+                        f"comprehension in hot path {fn.qualname}(); "
+                        "hoist the allocation or write an explicit loop",
+                    )
 
 
 @rule
@@ -86,20 +81,15 @@ class NoClosureRule(Rule):
 
     def check(self, ctx: ModuleContext) -> Iterable[Finding]:
         for fn in ctx.functions_with("hot"):
-            yield from self.check_function(ctx, fn)
-
-    def check_function(
-        self, ctx: ModuleContext, fn: FunctionInfo
-    ) -> Iterable[Finding]:
-        for node in _body_nodes(fn):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.Lambda)):
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"closure defined in hot path {fn.qualname}(); "
-                    "bind it once at construction instead",
-                )
+            for node in _body_nodes(fn):
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.Lambda)):
+                    yield self.finding(
+                        ctx,
+                        node,
+                        f"closure defined in hot path {fn.qualname}(); "
+                        "bind it once at construction instead",
+                    )
 
 
 @rule
@@ -112,21 +102,16 @@ class NoKwargsFanoutRule(Rule):
 
     def check(self, ctx: ModuleContext) -> Iterable[Finding]:
         for fn in ctx.functions_with("hot"):
-            yield from self.check_function(ctx, fn)
-
-    def check_function(
-        self, ctx: ModuleContext, fn: FunctionInfo
-    ) -> Iterable[Finding]:
-        for node in _body_nodes(fn):
-            if isinstance(node, ast.Call) and any(
-                kw.arg is None for kw in node.keywords
-            ):
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"**kwargs fan-out in hot path {fn.qualname}(); "
-                    "pass explicit arguments",
-                )
+            for node in _body_nodes(fn):
+                if isinstance(node, ast.Call) and any(
+                    kw.arg is None for kw in node.keywords
+                ):
+                    yield self.finding(
+                        ctx,
+                        node,
+                        f"**kwargs fan-out in hot path {fn.qualname}(); "
+                        "pass explicit arguments",
+                    )
 
 
 @rule
@@ -162,40 +147,25 @@ class AttrRelookupRule(Rule):
 
     def check(self, ctx: ModuleContext) -> Iterable[Finding]:
         for fn in ctx.functions_with("hot"):
-            yield from self.check_function(ctx, fn)
+            reported = set()
+            for node in _body_nodes(fn):
+                if not isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
+                    continue
+                chains: Counter = Counter()
+                anchors = {}
+                for chain, sub in self._maximal_chains(node):
+                    chains[chain] += 1
+                    anchors.setdefault(chain, sub)
+                for chain, count in sorted(chains.items()):
+                    anchor = anchors[chain]
+                    key = (anchor.lineno, anchor.col_offset, chain)
+                    if count >= 2 and key not in reported:
+                        reported.add(key)
+                        yield self.finding(
+                            ctx,
+                            anchor,
+                            f"attribute chain {chain!r} resolved {count}x "
+                            f"in a loop of hot path {fn.qualname}(); "
+                            "bind it to a local before the loop",
+                        )
 
-    def check_function(
-        self, ctx: ModuleContext, fn: FunctionInfo
-    ) -> Iterable[Finding]:
-        reported = set()
-        for node in _body_nodes(fn):
-            if not isinstance(node, (ast.For, ast.AsyncFor, ast.While)):
-                continue
-            chains: Counter = Counter()
-            anchors = {}
-            for chain, sub in self._maximal_chains(node):
-                chains[chain] += 1
-                anchors.setdefault(chain, sub)
-            for chain, count in sorted(chains.items()):
-                anchor = anchors[chain]
-                key = (anchor.lineno, anchor.col_offset, chain)
-                if count >= 2 and key not in reported:
-                    reported.add(key)
-                    yield self.finding(
-                        ctx,
-                        anchor,
-                        f"attribute chain {chain!r} resolved {count}x "
-                        f"in a loop of hot path {fn.qualname}(); "
-                        "bind it to a local before the loop",
-                    )
-
-
-#: The HOT discipline rules in id order.  The deep scan
-#: (:mod:`repro.checks.graph`) applies these per-function regardless
-#: of anchoring, then selects the transitively-hot subset.
-HOT_RULES = (
-    NoComprehensionRule(),
-    NoClosureRule(),
-    NoKwargsFanoutRule(),
-    AttrRelookupRule(),
-)

@@ -58,6 +58,7 @@ def sanitize_enabled() -> bool:
     return value not in ("", "0", "off", "no", "false")
 
 
+# repro: hot -- per event under REPRO_SANITIZE=1
 def _describe(event: "Event") -> str:
     """Provenance string for error messages."""
     callback = getattr(event, "callback", None)
@@ -91,6 +92,7 @@ class SanitizingQueue:
     # ------------------------------------------------------------------
     # queue protocol
     # ------------------------------------------------------------------
+    # repro: hot -- per event under REPRO_SANITIZE=1
     def push(
         self,
         time: int,
@@ -231,6 +233,7 @@ class SanitizingQueue:
             _describe(event),
         )
 
+    # repro: hot -- per event under REPRO_SANITIZE=1
     def _check_unmutated(self, event: "Event", snap: Tuple) -> None:
         current = (event.time, event.priority, event.seq, event.callback)
         if current != snap[:4]:
@@ -240,6 +243,7 @@ class SanitizingQueue:
                 f"now reads {_describe(event)}"
             )
 
+    # repro: hot -- per event under REPRO_SANITIZE=1
     def _tick(self) -> None:
         self._ops += 1
         if self._ops % AUDIT_INTERVAL == 0:
@@ -248,6 +252,7 @@ class SanitizingQueue:
     # ------------------------------------------------------------------
     # the structural audit
     # ------------------------------------------------------------------
+    # repro: hot -- per audit interval under REPRO_SANITIZE=1
     def audit(self) -> None:
         """Full-scan consistency check of freed events and the heap.
 
@@ -273,10 +278,12 @@ class SanitizingQueue:
             if key not in actual:
                 del resident[key]
 
+    # repro: hot -- on the per-event check path under REPRO_SANITIZE=1
     def _fail(self, message: str) -> None:
         self._violations += 1
         raise SanitizerError(message)
 
+    # repro: hot -- per audit interval under REPRO_SANITIZE=1
     def _audit_heap(self, q: Any) -> set:
         live = cancelled = 0
         actual = set()

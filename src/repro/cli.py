@@ -275,15 +275,6 @@ def cmd_check(args) -> int:
             fmt=args.format,
             update_baseline=args.write_baseline,
         )
-    if args.check_command == "deep":
-        from repro.checks.deep import run_deep_cli
-
-        return run_deep_cli(
-            args.paths or ["src"],
-            baseline_path=args.baseline,
-            fmt=args.format,
-            update_baseline=args.write_baseline,
-        )
     if args.check_command == "sanitize":
         return _cmd_check_sanitize(args)
     raise ReproError(f"unhandled check subcommand {args.check_command!r}")
@@ -519,7 +510,7 @@ def build_parser() -> argparse.ArgumentParser:
     check_sub = p.add_subparsers(dest="check_command", required=True)
 
     c = check_sub.add_parser(
-        "lint", help="AST lint: determinism, hot-path, telemetry rules"
+        "lint", help="AST lint: determinism, hot-path, error, API rules"
     )
     c.add_argument("paths", nargs="*", help="files/directories (default: src)")
     c.add_argument("--format", default="human", choices=["human", "json"])
@@ -529,19 +520,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="record current findings as the new baseline")
     c.add_argument("--list-rules", action="store_true",
                    help="print the rule catalogue and exit")
-    c.set_defaults(fn=cmd_check)
-
-    c = check_sub.add_parser(
-        "deep",
-        help="whole-program analysis: hot-set propagation",
-    )
-    c.add_argument("paths", nargs="*", help="files/directories (default: src)")
-    c.add_argument("--format", default="human",
-                   choices=["human", "json", "sarif"])
-    c.add_argument("--baseline", default=None,
-                   help="baseline file (default .repro-deep-baseline.json)")
-    c.add_argument("--write-baseline", action="store_true",
-                   help="record current findings as the new baseline")
     c.set_defaults(fn=cmd_check)
 
     c = check_sub.add_parser(

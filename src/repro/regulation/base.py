@@ -60,6 +60,7 @@ class BandwidthRegulator:
         """Is this transaction's address phase admissible *now*?"""
         raise NotImplementedError
 
+    # repro: hot -- once per accepted transaction
     def charge(self, txn: Transaction, now: int) -> None:
         """Account an accepted transaction.
 

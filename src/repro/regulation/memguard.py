@@ -237,6 +237,7 @@ class MemGuardRegulator(BandwidthRegulator):
         # the actor after the overflow interrupt has run.
         return not self._throttled
 
+    # repro: hot -- once per accepted transaction
     def charge(self, txn: Transaction, now: int) -> None:
         # Accounting happens via the PMU at data transfer time; only
         # the monitor totals are updated here.

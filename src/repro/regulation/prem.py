@@ -163,6 +163,7 @@ class PremRegulator(BandwidthRegulator):
     def may_issue(self, txn: Transaction, now: int) -> bool:
         return self.controller.request(self, now)
 
+    # repro: hot -- once per accepted transaction
     def charge(self, txn: Transaction, now: int) -> None:
         super().charge(txn, now)
 

@@ -191,6 +191,7 @@ class TightlyCoupledRegulator(BandwidthRegulator):
         pending = sum(nbytes for _t, nbytes in self._unseen)
         return min(self._bucket.capacity, tokens + pending)
 
+    # repro: hot -- per admission check and per charge
     def _channel_regulated(self, txn: Transaction) -> bool:
         if txn.is_write:
             return self.config.regulate_writes
@@ -232,6 +233,7 @@ class TightlyCoupledRegulator(BandwidthRegulator):
         # Non-burst-aware: any positive credit admits the whole burst.
         return tokens > 0
 
+    # repro: hot -- once per accepted transaction
     def charge(self, txn: Transaction, now: int) -> None:
         super().charge(txn, now)
         if not self._channel_regulated(txn):

@@ -63,6 +63,7 @@ class TokenBucket:
     # ------------------------------------------------------------------
     # time advance
     # ------------------------------------------------------------------
+    # repro: hot -- on every bucket read
     def _advance(self, now: int) -> None:
         if now < self._last_refill:
             raise RegulationError(
@@ -111,6 +112,7 @@ class TokenBucket:
         self._tokens -= amount
         return True
 
+    # repro: hot -- once per charged transaction
     def force_consume(self, amount: int, now: int, allow_debt: bool = False) -> None:
         """Consume unconditionally.
 

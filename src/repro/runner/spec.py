@@ -148,8 +148,15 @@ class RunSpec:
         Equal hashes imply identical simulation outcomes (the engine
         is deterministic), so the hash doubles as the result-cache
         key and the dedup key for repeated specs in one batch.
+
+        The digest is computed once per spec and memoised: the spec
+        and every config it holds are frozen, so it cannot go stale.
         """
-        canonical = json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        digest = self.__dict__.get("_content_hash")
+        if digest is None:
+            canonical = json.dumps(
+                self.to_dict(), sort_keys=True, separators=(",", ":")
+            )
+            digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+            object.__setattr__(self, "_content_hash", digest)
+        return digest

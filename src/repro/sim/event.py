@@ -65,6 +65,7 @@ class Event:
 
     __slots__ = ("time", "priority", "seq", "callback", "cancelled", "daemon", "_queue")
 
+    # repro: hot -- once per push that misses the free list
     def __init__(
         self,
         time: int,
@@ -259,6 +260,7 @@ class EventQueue:
         self._cancelled_in_heap = 0
         self._compactions += 1
 
+    # repro: hot -- once per dispatched event
     def _detach(self, event: Event) -> Event:
         """Release a popped event from queue bookkeeping."""
         if not event.daemon:

@@ -88,6 +88,7 @@ class Simulator:
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
+    # repro: hot -- once per scheduled event
     def schedule(
         self,
         delay: int,
@@ -114,6 +115,7 @@ class Simulator:
             raise SimulationError(f"cannot schedule {delay} cycles in the past")
         return self._queue.push(self._now + delay, priority, callback, daemon=daemon)
 
+    # repro: hot -- once per scheduled event
     def schedule_at(
         self,
         time: int,

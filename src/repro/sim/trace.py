@@ -70,6 +70,7 @@ class TraceRecorder:
         self._filter = set(masters) if masters is not None else None
         self._records: List[TraceRecord] = []
 
+    # repro: hot -- once per completed transaction while tracing
     def record(self, rec: TraceRecord) -> None:
         if self._filter is None or rec.master in self._filter:
             self._records.append(rec)

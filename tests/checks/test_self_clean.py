@@ -7,7 +7,10 @@ fails here before it fails in CI.
 
 import json
 import os
+import subprocess
+import sys
 
+from repro.checks.engine import build_context, iter_python_files
 from repro.checks.lint import lint_paths
 from repro.cli import main
 
@@ -26,6 +29,34 @@ def test_shipped_baseline_is_empty():
     with open(BASELINE) as fh:
         payload = json.load(fh)
     assert payload == {"version": 1, "findings": {}}
+
+
+def test_hot_anchors_cover_the_per_event_helpers():
+    # HOT rules check only anchored functions, so the helpers the
+    # dispatch loop and the port call per event carry their own anchor.
+    hot = set()
+    for path in iter_python_files([SRC]):
+        ctx = build_context(path)
+        module = ctx.rel[: -len(".py")].replace("/", ".")
+        hot.update(f"{module}.{fn.qualname}" for fn in ctx.functions_with("hot"))
+    assert {
+        "repro.axi.port.MasterPort.head",
+        "repro.sim.kernel.Simulator.schedule",
+        "repro.regulation.token_bucket.TokenBucket._advance",
+        "repro.regulation.tightly_coupled.TightlyCoupledRegulator.charge",
+    } <= hot
+
+
+def test_import_repro_leaves_the_lint_engine_unloaded():
+    code = (
+        "import sys, repro; "
+        "sys.exit('repro.checks.engine' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr or "repro.checks.engine loaded"
 
 
 class TestCheckCli:

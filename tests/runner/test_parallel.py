@@ -5,8 +5,12 @@ direct execution, the runner, and a cache hit) is asserted here; it
 is what makes the result cache safe to use in every benchmark.
 """
 
+import hashlib
+from types import SimpleNamespace
+
 import pytest
 
+import repro.runner.spec as spec_module
 from repro.runner import (
     ParallelRunner,
     ResultCache,
@@ -105,6 +109,24 @@ class TestCacheIntegration:
         runner = ParallelRunner(cache=cache)
         runner.run(specs)
         assert runner.last_stats.executed == 0
+
+    def test_cache_miss_hashes_the_spec_once(self, tmp_path, monkeypatch):
+        # run -> get -> put all key on the same digest; the spec is
+        # frozen, so one sha256 serves the whole batch.
+        digests = []
+
+        def counting_sha256(data):
+            digests.append(data)
+            return hashlib.sha256(data)
+
+        monkeypatch.setattr(
+            spec_module, "hashlib", SimpleNamespace(sha256=counting_sha256)
+        )
+        runner = ParallelRunner(cache=ResultCache(root=str(tmp_path)))
+        runner.run([small_spec(seed=6)])
+        assert runner.last_stats.cache_misses == 1
+        assert runner.last_stats.executed == 1
+        assert len(digests) == 1
 
 
 class TestMonitorSpecs:
