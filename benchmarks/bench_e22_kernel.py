@@ -1,9 +1,8 @@
 """E22 -- Simulation-kernel hot-path micro-benchmark.
 
 Not a figure of the reproduced paper: this bench times the discrete-
-event engine itself -- the binary-heap event queue, event-pool
-recycling, lazy-deletion compaction and the same-cycle dispatch fast
-path -- so kernel-level changes are *measured* rather than assumed.
+event engine itself -- the binary heap of plain-tuple events and the
+same-cycle dispatch fast path -- so kernel-level changes are *measured* rather than assumed.
 
 The rates are a record, not a verdict: no assertion here depends on
 wall-clock timing (a paired suite comparison, ``benchmarks/perf``, is
@@ -13,10 +12,7 @@ deterministic properties of the probes.
 * ``scheduler_stress`` -- a classic hold model (pop one, reschedule at
   ``now + delay``) at a resident population of 128k events, far above
   any paper platform's tens of live events;
-* ``push_pop``      -- raw churn (schedule + dispatch, no cancels);
-* ``cancel_churn``  -- 90% of scheduled events cancelled; exercises the
-  compaction path and asserts cancelled shells cannot accumulate past
-  the compaction bound;
+* ``push_pop``      -- raw churn (push all, then pop all);
 * ``same_cycle``    -- many events per cycle through ``Simulator.run``;
   exercises the single-scan same-cycle fast path;
 * ``platform``      -- a small end-to-end platform run (cycles/second),
@@ -38,7 +34,6 @@ from benchmarks.common import report
 STRESS_POPULATION = 131_072
 STRESS_EVENTS = 200_000
 PUSH_POP_EVENTS = 200_000
-CHURN_EVENTS = 200_000
 SAME_CYCLE_CYCLES = 2_000
 SAME_CYCLE_PER_CYCLE = 100
 PLATFORM_CPU_WORK = 2_000
@@ -54,9 +49,7 @@ def _bench_scheduler_stress():
     index = 0
     start = time.perf_counter()
     for _ in range(STRESS_EVENTS):
-        event = queue.pop()
-        now = event.time
-        queue.recycle(event)
+        now = queue.pop()[0]
         queue.push(now + delays[index & 4095], 0, None)
         index += 1
     elapsed = time.perf_counter() - start
@@ -73,25 +66,6 @@ def _bench_push_pop():
         queue.pop()
     elapsed = time.perf_counter() - start
     return PUSH_POP_EVENTS / elapsed, {}
-
-
-def _bench_cancel_churn():
-    queue = EventQueue()
-    peak_resident = 0
-    start = time.perf_counter()
-    events = []
-    for i in range(CHURN_EVENTS):
-        events.append(queue.push(i, 0, lambda: None))
-        if len(events) == 1000:
-            # Cancel 90%: models retry events obsoleted by progress.
-            for ev in events[:900]:
-                ev.cancel()
-            peak_resident = max(peak_resident, len(queue))
-            for _ in range(100):
-                queue.pop()
-            events.clear()
-    elapsed = time.perf_counter() - start
-    return CHURN_EVENTS / elapsed, {"peak_resident": peak_resident}
 
 
 def _bench_same_cycle():
@@ -124,7 +98,6 @@ def run_e22():
     probes = (
         ("scheduler_stress", "events/s", _bench_scheduler_stress),
         ("push_pop", "events/s", _bench_push_pop),
-        ("cancel_churn", "events/s", _bench_cancel_churn),
         ("same_cycle", "events/s", _bench_same_cycle),
         ("platform", "cycles/s", _bench_platform),
     )
@@ -142,11 +115,7 @@ def test_e22_kernel(benchmark):
         rows,
         "E22: simulation-kernel hot-path throughput, binary-heap event "
         f"queue ({STRESS_EVENTS // 1000}k-event probes)",
-        columns=["probe", "unit", "rate", "population", "peak_resident", "sim_cycles"],
+        columns=["probe", "unit", "rate", "population", "sim_cycles"],
     )
     by_probe = {r["probe"]: r for r in rows}
-    # Lazy-deletion compaction: with 90% of events cancelled, the queue
-    # may never grow anywhere near the total number of scheduled
-    # events -- shells are reclaimed once they hold the majority.
-    assert by_probe["cancel_churn"]["peak_resident"] < CHURN_EVENTS / 10
     assert by_probe["platform"]["sim_cycles"] > 0

@@ -67,6 +67,7 @@ class Bridge:
             raise ProtocolError(f"bridge {self.name!r}: upstream attached twice")
         self._upstream = upstream
 
+    # repro: hot
     def enqueue(self, txn: Transaction) -> None:
         """Accept a fabric-accepted transaction; forward downstream."""
         child = Transaction(

@@ -9,7 +9,14 @@ Responses travel back with a symmetric latency.
 
 The implementation is fully event-driven: arbitration only runs when
 some port *kicks* the interconnect (new request, freed outstanding
-slot, or regulator credit release), so idle cycles cost nothing.
+slot, regulator credit release, or a denied head's retry), so idle
+cycles cost nothing.  A port is *ready* when it has a queued
+transaction and a free outstanding slot; only a ready port is asked
+for a head.  After a pass that accepted, the interconnect schedules
+another pass only if some port is still ready: every event that can
+make a port ready kicks on its own, so a pass with no ready port
+could accept nothing.  A port whose head the regulator denies stays
+ready, so its retry bookkeeping sees every pass it would otherwise.
 """
 
 from __future__ import annotations
@@ -114,6 +121,7 @@ class Interconnect:
     # ------------------------------------------------------------------
     # arbitration
     # ------------------------------------------------------------------
+    # repro: hot -- once per submit, completion or retry
     def kick(self) -> None:
         """Request an arbitration pass (deduplicated, event-driven)."""
         at = max(self.sim.now, min(self._next_free.values()))
@@ -122,6 +130,7 @@ class Interconnect:
         self._arb_scheduled_at = at
         self.sim.schedule_at(at, self._arbitrate, priority=Phase.ARBITER)
 
+    # repro: hot -- once per arbitration pass
     def _arbitrate(self) -> None:
         self._arb_scheduled_at = None
         self._stat_arb_passes.add()
@@ -133,9 +142,12 @@ class Interconnect:
             if self._arbitrate_channel(direction, now):
                 progressed = True
         if progressed:
-            # More candidates may be waiting; try again when a channel
-            # frees up.
-            self.kick()
+            # Try again when a channel frees up, but only if some port
+            # is still ready; a port that becomes ready later kicks.
+            for port in self.ports:
+                if port._queued and port._outstanding < port._max_outstanding:
+                    self.kick()
+                    return
 
     def _arbitrate_channel(self, direction: Optional[bool], now: int) -> bool:
         """One acceptance attempt on one address channel.

@@ -14,7 +14,7 @@ allocation-free.  This package enforces them mechanically:
   carry a ``# repro: hot`` anchor.  Run it with ``repro check lint src/``.
 * :mod:`repro.checks.sanitize` -- a runtime event-queue sanitizer
   (``REPRO_SANITIZE=1``) wrapping the kernel's event queue with
-  dispatch-order, pool double-free and occupancy assertions that raise
+  dispatch-order and occupancy assertions that raise
   :class:`repro.errors.SanitizerError` with event provenance.
 
 The package imports nothing eagerly: the kernel loads only the

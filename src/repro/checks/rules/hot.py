@@ -8,8 +8,8 @@ eroding: a function opts in with a ``# repro: hot`` anchor comment
 (on or directly above its ``def``) or a ``@hot_path`` decorator, and
 the rules then reject the constructs that reintroduce per-event cost.
 
-Only anchored functions are checked; cold paths (compaction, rewind,
-stats) stay free to use idiomatic Python.
+Only anchored functions are checked; cold paths (stats, audits,
+reporting) stay free to use idiomatic Python.
 """
 
 from __future__ import annotations

@@ -172,6 +172,7 @@ class DramController:
     # ------------------------------------------------------------------
     # request path
     # ------------------------------------------------------------------
+    # repro: hot
     def enqueue(self, txn: Transaction) -> None:
         """Accept a transaction from the interconnect."""
         bank, row = self.address_map.decode(txn.addr)

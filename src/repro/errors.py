@@ -77,8 +77,7 @@ class LintError(CheckError):
 class SanitizerError(CheckError):
     """The runtime kernel sanitizer detected an invariant violation.
 
-    Examples: a dispatch-time rewind, an event freed twice into the
-    pool, a freed event mutated before reuse, or scheduler occupancy
+    Examples: a dispatch-time rewind, or scheduler occupancy
     accounting that disagrees with the queue's actual contents.  The
     message carries the offending event's provenance.
     """

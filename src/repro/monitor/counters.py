@@ -22,6 +22,7 @@ class BeatCounter:
         self._last_read_bytes = 0
         port.beat_observers.append(self._observe)
 
+    # repro: hot
     def _observe(self, nbytes: int, now: int) -> None:
         self.total_bytes += nbytes
         self.total_transactions += 1

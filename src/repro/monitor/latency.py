@@ -49,6 +49,7 @@ class LatencyMonitor:
         self.writes = LatencyHistogram(max_exponent) if split_rw else self.reads
         port.completion_observers.append(self._observe)
 
+    # repro: hot
     def _observe(self, txn: Transaction) -> None:
         if txn.completed < self.from_cycle:
             return

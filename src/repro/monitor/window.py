@@ -86,6 +86,7 @@ class WindowedBandwidthMonitor:
         self._series = TimeSeries(f"{port.name}.window_bytes", window_cycles)
         port.beat_observers.append(self._observe)
 
+    # repro: hot
     def _observe(self, nbytes: int, now: int) -> None:
         self._series.add(now, nbytes)
 

@@ -56,6 +56,7 @@ class BandwidthRegulator:
     # ------------------------------------------------------------------
     # the admission interface used by the port
     # ------------------------------------------------------------------
+    # repro: hot
     def may_issue(self, txn: Transaction, now: int) -> bool:
         """Is this transaction's address phase admissible *now*?"""
         raise NotImplementedError
@@ -70,6 +71,7 @@ class BandwidthRegulator:
         self.charged_bytes += txn.nbytes
         self.charged_transactions += 1
 
+    # repro: hot
     def next_opportunity(self, txn: Transaction, now: int) -> int:
         """Earliest cycle a denied transaction could be admitted."""
         raise NotImplementedError

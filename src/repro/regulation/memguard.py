@@ -232,6 +232,7 @@ class MemGuardRegulator(BandwidthRegulator):
     # ------------------------------------------------------------------
     # admission
     # ------------------------------------------------------------------
+    # repro: hot
     def may_issue(self, txn: Transaction, now: int) -> bool:
         # Software cannot make per-handshake decisions; it only stalls
         # the actor after the overflow interrupt has run.
@@ -243,6 +244,7 @@ class MemGuardRegulator(BandwidthRegulator):
         # the monitor totals are updated here.
         super().charge(txn, now)
 
+    # repro: hot
     def next_opportunity(self, txn: Transaction, now: int) -> int:
         return self._period_start + self.config.period_cycles
 

@@ -32,9 +32,11 @@ class NoRegulation(BandwidthRegulator):
         if self._monitor_window:
             self.monitor = WindowedBandwidthMonitor(port, self._monitor_window)
 
+    # repro: hot
     def may_issue(self, txn: Transaction, now: int) -> bool:
         return True
 
+    # repro: hot
     def next_opportunity(self, txn: Transaction, now: int) -> int:
         # Never consulted (may_issue never denies); return now for
         # interface completeness.

@@ -160,6 +160,7 @@ class PremRegulator(BandwidthRegulator):
     # ------------------------------------------------------------------
     # admission interface
     # ------------------------------------------------------------------
+    # repro: hot
     def may_issue(self, txn: Transaction, now: int) -> bool:
         return self.controller.request(self, now)
 
@@ -167,6 +168,7 @@ class PremRegulator(BandwidthRegulator):
     def charge(self, txn: Transaction, now: int) -> None:
         super().charge(txn, now)
 
+    # repro: hot
     def next_opportunity(self, txn: Transaction, now: int) -> int:
         # The token moves on completions/acquisitions, which all kick
         # arbitration; poll at a modest cadence as a fallback.

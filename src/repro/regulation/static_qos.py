@@ -40,11 +40,13 @@ class StaticQosRegulator(BandwidthRegulator):
         if self._monitor_window:
             self.monitor = WindowedBandwidthMonitor(port, self._monitor_window)
 
+    # repro: hot
     def may_issue(self, txn: Transaction, now: int) -> bool:
         # Stamping in the admission check guarantees the arbiter sees
         # the value on the first arbitration of this transaction.
         txn.qos = self.qos
         return True
 
+    # repro: hot
     def next_opportunity(self, txn: Transaction, now: int) -> int:
         return now

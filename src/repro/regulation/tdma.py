@@ -114,11 +114,13 @@ class TdmaRegulator(BandwidthRegulator):
             return now % self.schedule.slot_cycles == 0
         return beats <= self.schedule.cycles_left_in_slot(now)
 
+    # repro: hot
     def may_issue(self, txn: Transaction, now: int) -> bool:
         return self.schedule.in_slot(self.slot_index, now) and self._fits_in_slot(
             txn, now
         )
 
+    # repro: hot
     def next_opportunity(self, txn: Transaction, now: int) -> int:
         if self.schedule.in_slot(self.slot_index, now):
             # Blocked by the fit check: wait for the next occurrence

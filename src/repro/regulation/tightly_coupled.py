@@ -197,6 +197,7 @@ class TightlyCoupledRegulator(BandwidthRegulator):
             return self.config.regulate_writes
         return self.config.regulate_reads
 
+    # repro: hot
     def may_issue(self, txn: Transaction, now: int) -> bool:
         if not self._channel_regulated(txn):
             return True
@@ -253,6 +254,7 @@ class TightlyCoupledRegulator(BandwidthRegulator):
     #: Retry cadence while hunting for idle-injection opportunities.
     INJECT_POLL_CYCLES = 32
 
+    # repro: hot
     def next_opportunity(self, txn: Transaction, now: int) -> int:
         need = min(
             txn.nbytes if self.config.burst_aware else 1, self._bucket.capacity

@@ -13,14 +13,13 @@ Public entry points:
 * :func:`repro.sim.rng.component_rng` -- stable per-component RNGs.
 """
 
-from repro.sim.event import Event, EventQueue
+from repro.sim.event import EventQueue
 from repro.sim.kernel import Simulator
 from repro.sim.rng import component_rng
 from repro.sim.stats import Counter, Sampler, StatSet, TimeSeries
 from repro.sim.trace import TraceRecord, TraceRecorder
 
 __all__ = [
-    "Event",
     "EventQueue",
     "Simulator",
     "component_rng",

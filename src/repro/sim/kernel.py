@@ -27,7 +27,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.checks.sanitize import SanitizingQueue, sanitize_enabled
 from repro.errors import SimulationError
-from repro.sim.event import Event, EventQueue
+from repro.sim.event import EventQueue
 
 class Phase:
     """Well-known intra-cycle dispatch phases (lower fires first)."""
@@ -48,7 +48,7 @@ class Simulator:
     Example:
         >>> sim = Simulator()
         >>> fired = []
-        >>> _ = sim.schedule(5, lambda: fired.append(sim.now))
+        >>> sim.schedule(5, lambda: fired.append(sim.now))
         >>> sim.run()
         >>> fired
         [5]
@@ -95,7 +95,7 @@ class Simulator:
         callback: Callable[[], Any],
         priority: int = Phase.MASTER,
         daemon: bool = False,
-    ) -> Event:
+    ) -> None:
         """Schedule ``callback`` to run ``delay`` cycles from now.
 
         Args:
@@ -105,15 +105,17 @@ class Simulator:
             daemon: Daemon events (self-rescheduling background
                 activity like DRAM refresh) do not keep the run alive.
 
-        Returns:
-            The :class:`Event`, which the caller may ``cancel()``.
+        A scheduled event always fires; no handle is returned, because
+        an event cannot be cancelled.  A component that needs at most
+        one pending wake-up keeps its own "scheduled at" marker and
+        skips scheduling a duplicate.
 
         Raises:
             SimulationError: if ``delay`` is negative.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay} cycles in the past")
-        return self._queue.push(self._now + delay, priority, callback, daemon=daemon)
+        self._queue.push(self._now + delay, priority, callback, daemon=daemon)
 
     # repro: hot -- once per scheduled event
     def schedule_at(
@@ -122,13 +124,13 @@ class Simulator:
         callback: Callable[[], Any],
         priority: int = Phase.MASTER,
         daemon: bool = False,
-    ) -> Event:
+    ) -> None:
         """Schedule ``callback`` at an absolute cycle ``time >= now``."""
         if time < self._now:
             raise SimulationError(
                 f"cannot schedule at cycle {time}, current time is {self._now}"
             )
-        return self._queue.push(time, priority, callback, daemon=daemon)
+        self._queue.push(time, priority, callback, daemon=daemon)
 
     def add_finalizer(self, fn: Callable[[int], None]) -> None:
         """Register ``fn(now)`` to be invoked when a run completes."""
@@ -141,7 +143,7 @@ class Simulator:
     def run(self, until: Optional[int] = None) -> int:
         """Dispatch events until the queue drains or ``until`` is reached.
 
-        One full loop iteration (peek, pop, invoke, recycle) per event,
+        One full loop iteration (peek, pop, invoke) per event,
         with a same-cycle fast path.
 
         Args:
@@ -174,7 +176,6 @@ class Simulator:
         peek_time = queue.peek_time
         pop = queue.pop
         pop_if_at = queue.pop_if_at
-        recycle = queue.recycle
         dispatched = 0
         try:
             while True:
@@ -192,21 +193,19 @@ class Simulator:
                     break
                 # The clock jumps straight to the next event; no empty
                 # cycle is ever visited.
-                event = pop()
-                self._now = event.time
-                event.callback()
-                recycle(event)
+                entry = pop()
+                self._now = entry[0]
+                entry[3]()
                 dispatched += 1
                 # Same-cycle fast path: drain the rest of this cycle
                 # with single-scan pops, skipping the redundant
                 # peek/horizon checks (the horizon can only be crossed
                 # when time advances).
                 while not self._stop_requested and queue.live_foreground > 0:
-                    event = pop_if_at(self._now)
-                    if event is None:
+                    entry = pop_if_at(self._now)
+                    if entry is None:
                         break
-                    event.callback()
-                    recycle(event)
+                    entry[3]()
                     dispatched += 1
         finally:
             self._running = False
@@ -234,7 +233,6 @@ class Simulator:
         peek_time = queue.peek_time
         pop = queue.pop
         pop_if_at = queue.pop_if_at
-        recycle = queue.recycle
         dispatched = 0
         wall_start = clock()
         try:
@@ -249,23 +247,21 @@ class Simulator:
                 if until is not None and next_time > until:
                     self._now = until
                     break
-                event = pop()
-                self._now = event.time
-                callback = event.callback
+                entry = pop()
+                self._now = entry[0]
+                callback = entry[3]
                 start = clock()
                 callback()
                 observe(callback, clock() - start)
-                recycle(event)
                 dispatched += 1
                 while not self._stop_requested and queue.live_foreground > 0:
-                    event = pop_if_at(self._now)
-                    if event is None:
+                    entry = pop_if_at(self._now)
+                    if entry is None:
                         break
-                    callback = event.callback
+                    callback = entry[3]
                     start = clock()
                     callback()
                     observe(callback, clock() - start)
-                    recycle(event)
                     dispatched += 1
         finally:
             self._running = False
@@ -280,7 +276,7 @@ class Simulator:
         """Snapshot of kernel and queue telemetry (pull-style).
 
         Combines the simulator's clock and dispatch count with the
-        heap's cold-path counters (see ``EventQueue.stats``);
+        heap's state (see ``EventQueue.stats``);
         collecting it costs nothing until called, so it is always
         available.  Component counters are read through the platform's
         probe map instead (:mod:`repro.probes.map`).
@@ -313,16 +309,15 @@ class Simulator:
         queue = self._queue
         if queue.live_foreground == 0 or queue.peek_time() is None:
             return None
-        event = queue.pop()
-        time = event.time
+        entry = queue.pop()
+        time = entry[0]
         self._now = time
-        event.callback()
-        queue.recycle(event)
+        entry[3]()
         self.events_dispatched += 1
         return time
 
     @property
     def pending_events(self) -> int:
-        """Number of events still queued (cancelled shells count until
-        the queue compacts or pops them)."""
+        """Number of events still queued, daemons included (every
+        queued event fires unless the run ends first)."""
         return len(self._queue)

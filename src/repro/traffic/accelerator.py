@@ -98,6 +98,7 @@ class StreamAccelerator(Master):
             )
         self._fill()
 
+    # repro: hot
     def _on_response(self, txn: Transaction) -> None:
         self._inflight -= 1
         self._completed_bytes += txn.nbytes

@@ -133,6 +133,7 @@ class OpenLoopMaster(Master):
                 self._times[0], self._arrive, priority=Phase.MASTER
             )
 
+    # repro: hot
     def _on_response(self, txn: Transaction) -> None:
         self._completed += 1
         limit = self.config.num_requests

@@ -104,6 +104,7 @@ class CpuCore(Master):
         for _ in range(slots):
             self._issue_next()
 
+    # repro: hot
     def _on_response(self, txn: Transaction) -> None:
         self._completed += 1
         self.stats.counter("iterations").add()

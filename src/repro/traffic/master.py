@@ -60,12 +60,14 @@ class Master:
     def _start(self) -> None:
         raise NotImplementedError
 
+    # repro: hot
     def _on_response(self, txn: Transaction) -> None:
         raise NotImplementedError
 
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
+    # repro: hot
     def issue(
         self,
         is_write: bool,

@@ -66,6 +66,7 @@ class TraceReplayMaster(Master):
         else:
             self._fill_asap()
 
+    # repro: hot
     def _on_response(self, txn: Transaction) -> None:
         self._inflight -= 1
         if self.mode == "asap":

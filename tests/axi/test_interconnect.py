@@ -87,6 +87,47 @@ class TestArbitration:
         assert mini.interconnect.stats.counter("accepted_bytes").value == 5 * 64
 
 
+def queued_passes(sim, interconnect):
+    """Arbitration passes waiting in the event queue."""
+    queue = getattr(sim._queue, "inner", sim._queue)  # unwrap sanitizer
+    return [entry for entry in queue._heap if entry[3] == interconnect._arbitrate]
+
+
+class TestReKick:
+    """After an acceptance, another pass is queued only if some port
+    is still ready (something queued and a free outstanding slot)."""
+
+    def test_no_pass_after_acceptance_empties_every_port(self, sim, mini):
+        port = mini.add_port("m0")
+        submit(port, sim)
+        assert len(queued_passes(sim, mini.interconnect)) == 1
+        assert sim.step() == 0  # the pass accepts the only transaction
+        assert port.queue_depth == 0
+        assert mini.interconnect._arb_scheduled_at is None
+        assert queued_passes(sim, mini.interconnect) == []
+
+    def test_no_pass_after_acceptance_fills_every_port(self, sim, mini):
+        port = mini.add_port("m0", max_outstanding=1)
+        submit(port, sim, n=3)
+        assert sim.step() == 0
+        assert port.outstanding == 1 and port.queue_depth == 2
+        assert mini.interconnect._arb_scheduled_at is None
+        assert queued_passes(sim, mini.interconnect) == []
+        # The completion frees the slot and kicks: all three finish.
+        sim.run()
+        assert port.stats.counter("completed").value == 3
+
+    def test_pass_follows_acceptance_while_a_port_is_ready(self, sim, mini):
+        full = mini.add_port("full", max_outstanding=1)
+        ready = mini.add_port("ready", max_outstanding=2)
+        submit(full, sim, n=2)
+        submit(ready, sim, n=2)
+        assert sim.step() == 0
+        assert mini.interconnect._arb_scheduled_at == 1  # next free cycle
+        (entry,) = queued_passes(sim, mini.interconnect)
+        assert entry[0] == 1
+
+
 class TestLatencies:
     def test_min_latency_includes_pipeline_stages(self, sim):
         cfg = InterconnectConfig(fwd_latency=4, resp_latency=4)

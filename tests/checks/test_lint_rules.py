@@ -185,9 +185,9 @@ class TestHotRules:
             # repro: hot
             def drain(self):
                 pop = self.queue.pop
-                recycle = self.queue.recycle
+                record = self.trace.append
                 while True:
-                    recycle(pop())
+                    record(pop())
             """,
         )
         assert rule_ids(result) == []

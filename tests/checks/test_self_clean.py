@@ -42,6 +42,8 @@ def test_hot_anchors_cover_the_per_event_helpers():
     assert {
         "repro.axi.port.MasterPort.head",
         "repro.sim.kernel.Simulator.schedule",
+        "repro.axi.interconnect.Interconnect.kick",
+        "repro.dram.controller.DramController.enqueue",
         "repro.regulation.token_bucket.TokenBucket._advance",
         "repro.regulation.tightly_coupled.TightlyCoupledRegulator.charge",
     } <= hot

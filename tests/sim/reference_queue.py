@@ -1,12 +1,12 @@
 """A deliberately naive event queue used as a test oracle.
 
 :class:`ReferenceQueue` implements the queue surface the simulator
-uses (``push``/``pop``/``pop_if_at``/``peek_time``/``recycle``,
-``live_foreground``, ``len`` and ``stats``) on an unsorted list that
-is scanned linearly for the minimum ``(time, priority, seq)``.  It has
-no heap, no lazy cancellation, no compaction and no free list, so any
-dispatch-order difference between it and :class:`EventQueue` points at
-one of the heap's optimisations.
+uses (``push``/``pop``/``pop_if_at``/``peek_time``,
+``live_foreground``, ``len`` and ``stats``) on an unsorted list of
+``(time, priority, seq, callback, daemon)`` entries that is scanned
+linearly for the minimum ``(time, priority, seq)``.  It has no heap
+and no same-cycle fast path, so any dispatch-order difference between
+it and :class:`EventQueue` points at one of the heap's optimisations.
 """
 
 from __future__ import annotations
@@ -15,26 +15,26 @@ from typing import Any, Callable, List, Optional
 
 import repro.sim.kernel as kernel_mod
 from repro.errors import SimulationError
-from repro.sim.event import Event, EventQueue
+from repro.sim.event import Entry, EventQueue
 
 
-def _key(event: Event):
-    return (event.time, event.priority, event.seq)
+def _key(entry: Entry):
+    return entry[:3]
 
 
 class ReferenceQueue:
-    """Linear-scan event queue with eager cancellation."""
+    """Linear-scan event queue."""
 
     def __init__(self) -> None:
-        self._events: List[Event] = []
+        self._entries: List[Entry] = []
         self._next_seq = 0
 
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._entries)
 
     @property
     def live_foreground(self) -> int:
-        return sum(1 for event in self._events if not event.daemon)
+        return sum(1 for entry in self._entries if not entry[4])
 
     def push(
         self,
@@ -42,51 +42,37 @@ class ReferenceQueue:
         priority: int,
         callback: Callable[[], Any],
         daemon: bool = False,
-    ) -> Event:
-        event = Event(time, priority, self._next_seq, callback, daemon=daemon)
+    ) -> None:
+        self._entries.append((time, priority, self._next_seq, callback, daemon))
         self._next_seq += 1
-        event._queue = self  # type: ignore[assignment]
-        self._events.append(event)
-        return event
 
-    def _on_cancel(self, event: Event) -> None:
-        self._events.remove(event)
-        event._queue = None
-
-    def _take(self, event: Event) -> Event:
-        self._events.remove(event)
-        event._queue = None
-        return event
-
-    def pop(self) -> Event:
-        if not self._events:
+    def pop(self) -> Entry:
+        if not self._entries:
             raise SimulationError("pop from an empty event queue")
-        return self._take(min(self._events, key=_key))
+        entry = min(self._entries, key=_key)
+        self._entries.remove(entry)
+        return entry
 
-    def pop_if_at(self, time: int) -> Optional[Event]:
-        if not self._events:
+    def pop_if_at(self, time: int) -> Optional[Entry]:
+        if not self._entries:
             return None
-        event = min(self._events, key=_key)
-        if event.time != time:
+        entry = min(self._entries, key=_key)
+        if entry[0] != time:
             return None
-        return self._take(event)
+        self._entries.remove(entry)
+        return entry
 
     def peek_time(self) -> Optional[int]:
-        if not self._events:
+        if not self._entries:
             return None
-        return min(self._events, key=_key).time
-
-    def recycle(self, event: Event) -> None:
-        pass
+        return min(self._entries, key=_key)[0]
 
     def clear(self) -> None:
-        for event in self._events:
-            event._queue = None
-        self._events.clear()
+        self._entries.clear()
 
     def stats(self) -> dict:
         return {
-            "pending": len(self._events),
+            "pending": len(self._entries),
             "live_foreground": self.live_foreground,
             "events_scheduled": self._next_seq,
         }

@@ -52,13 +52,11 @@ def _run_program(scheduler, profiled, seed, until=None, stop_after=None):
 
     The workload mixes same-cycle pushes at arbitrary phases (which
     may sort before, into, or after the rest of the in-flight batch),
-    future pushes, retained-handle cancels, same-cycle
-    cancel-after-push, daemons, and an optional mid-run stop.
+    future pushes, daemons, and an optional mid-run stop.
     """
     sim = _simulator(scheduler, profiled)
     rng = random.Random(seed)
     journal = []
-    retained = []
     budget = [400]
 
     def work(tag):
@@ -83,20 +81,11 @@ def _run_program(scheduler, profiled, seed, until=None, stop_after=None):
                 priority=rng.choice(PRIORITIES),
             )
         if rng.random() < 0.20:
-            retained.append(
-                sim.schedule(
-                    rng.randrange(0, 12),
-                    lambda: work(-tag),
-                    priority=rng.choice(PRIORITIES),
-                )
+            sim.schedule(
+                rng.randrange(0, 12),
+                lambda: work(-tag),
+                priority=rng.choice(PRIORITIES),
             )
-        if retained and rng.random() < 0.35:
-            retained.pop(rng.randrange(len(retained))).cancel()
-        if rng.random() < 0.10:
-            # Push-then-cancel inside one cycle: the shell must never
-            # fire.
-            ev = sim.schedule(0, lambda: journal.append("never"), priority=90)
-            ev.cancel()
 
     # A dense opening cycle across phases, plus daemon background.
     for phase in PRIORITIES:
@@ -106,9 +95,7 @@ def _run_program(scheduler, profiled, seed, until=None, stop_after=None):
     )
     if until is not None:
         sim.run(until=until)
-        # live_foreground, not pending_events: the reference queue
-        # drops cancelled shells eagerly, the heap lazily.
-        journal.append(("bound", sim.now, sim._queue.live_foreground))
+        journal.append(("bound", sim.now, sim.pending_events))
     sim.run()
     journal.append(("end", sim.now, sim.events_dispatched))
     return journal

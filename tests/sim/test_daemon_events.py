@@ -50,36 +50,6 @@ class TestDaemonEvents:
         # it never fires.
         assert fired == ["work"]
 
-    def test_cancelled_foreground_eventually_drains(self, sim):
-        ev = sim.schedule(50, lambda: None)
-        sim.schedule(10, lambda: None)
-        ev.cancel()
-        # Exact live accounting: the run ends at the last *live*
-        # foreground event, never simulating out to the shell at 50.
-        end = sim.run()
-        assert end == 10
-
-    def test_cancelling_last_foreground_drains_among_daemons(self, sim):
-        fired = []
-
-        def refresh():
-            fired.append(sim.now)
-            sim.schedule(10, refresh, daemon=True)
-
-        sim.schedule(0, refresh, daemon=True)
-        victim = sim.schedule(1_000, lambda: fired.append("victim"))
-
-        def cancel_victim():
-            victim.cancel()
-
-        sim.schedule(25, cancel_victim)
-        sim.run()
-        # Once the only remaining foreground event is a cancelled
-        # shell the run is drained; daemons stop immediately instead
-        # of ticking on to cycle 1000.
-        assert "victim" not in fired
-        assert sim.now == 25
-
     def test_step_with_only_daemons_is_drained(self, sim):
         # Consistent with run(): daemons alone never constitute work,
         # so step() reports the simulation as drained instead of
@@ -97,18 +67,3 @@ class TestDaemonEvents:
         assert sim.step() == 9
         assert fired == ["daemon", "work"]
         assert sim.step() is None
-
-    def test_step_drains_when_foreground_becomes_cancelled(self, sim):
-        fired = []
-
-        def tick():
-            fired.append(sim.now)
-            sim.schedule(10, tick, daemon=True)
-
-        sim.schedule(10, tick, daemon=True)
-        victim = sim.schedule(1_000, lambda: fired.append("victim"))
-        assert sim.step() == 10
-        victim.cancel()
-        # Only daemons (and a cancelled shell) remain: drained.
-        assert sim.step() is None
-        assert fired == [10]

@@ -51,12 +51,9 @@ class TestScheduling:
         sim.run()
         assert fired == [("first", 2), ("second", 5)]
 
-    def test_cancelled_event_does_not_fire(self, sim):
-        fired = []
-        ev = sim.schedule(5, lambda: fired.append(1))
-        ev.cancel()
-        sim.run()
-        assert fired == []
+    def test_schedule_returns_no_handle(self, sim):
+        assert sim.schedule(5, lambda: None) is None
+        assert sim.schedule_at(7, lambda: None) is None
 
 
 class TestRunBounds:
@@ -203,56 +200,6 @@ class TestStopAndFinalize:
         sim.schedule(1, evil)
         with pytest.raises(SimulationError):
             sim.run()
-
-
-class TestSameCycleCancel:
-    def test_callback_cancels_same_cycle_sibling(self, sim):
-        order = []
-        victims = {}
-
-        def canceller():
-            order.append("c")
-            victims["v"].cancel()
-
-        sim.schedule_at(4, canceller, priority=0)
-        sim.schedule_at(4, lambda: order.append("mid"), priority=10)
-        victims["v"] = sim.schedule_at(4, lambda: order.append("victim"), priority=30)
-        sim.run()
-        assert order == ["c", "mid"]
-        assert sim.events_dispatched == 2
-
-    def test_self_cancel_is_noop(self, sim):
-        order = []
-        handle = {}
-
-        def selfish():
-            order.append("s")
-            handle["me"].cancel()
-
-        handle["me"] = sim.schedule_at(2, selfish, priority=0)
-        sim.schedule_at(2, lambda: order.append("after"), priority=10)
-        sim.schedule_at(6, lambda: order.append("later"))
-        sim.run()
-        assert order == ["s", "after", "later"]
-        assert sim.now == 6
-        assert sim._queue.live_foreground == 0
-
-    def test_cancel_last_foreground_ends_run_before_daemon(self, sim):
-        # A callback cancels the only other foreground event while a
-        # same-cycle daemon waits behind it: with no live foreground
-        # work left, the daemon must not fire.
-        order = []
-        victims = {}
-
-        def canceller():
-            order.append("c")
-            victims["v"].cancel()
-
-        sim.schedule_at(3, canceller, priority=0)
-        victims["v"] = sim.schedule_at(3, lambda: order.append("victim"), priority=20)
-        sim.schedule_at(3, lambda: order.append("daemon"), priority=50, daemon=True)
-        sim.run()
-        assert order == ["c"]
 
 
 class TestQueue:

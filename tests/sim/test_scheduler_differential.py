@@ -1,8 +1,7 @@
 """Differential tests: the kernel's heap against a naive reference queue.
 
-:class:`EventQueue` layers lazy cancellation, compaction, an event
-free list and a same-cycle ``pop_if_at`` fast path on a binary heap.
-None of that may change dispatch order: for any sequence of queue
+:class:`EventQueue` keeps a binary heap of plain tuples with a
+same-cycle ``pop_if_at`` fast path.  Neither may change dispatch order: for any sequence of queue
 operations the heap must dispatch the same events in the same order
 as :class:`ReferenceQueue` (an unsorted list scanned for the minimum),
 and any experiment must produce byte-identical result tables on
@@ -31,23 +30,18 @@ def _random_program(seed, steps):
 
     Times mix same-cycle bursts, near-future delays, far jumps and
     (via pop-then-push-low patterns) rewinds; ops mix pushes, daemon
-    pushes, cancels of arbitrary live or dispatched handles (singly
-    and in bursts), pops and peeks.
+    pushes, pops and peeks.
     """
     rng = random.Random(seed)
     program = []
     for _ in range(steps):
         r = rng.random()
-        if r < 0.55:
+        if r < 0.60:
             kind = "push_daemon" if rng.random() < 0.15 else "push"
             delay = rng.choice(
                 (0, 0, 1, 2, 3, rng.randrange(64), rng.randrange(3 * _FAR))
             )
             program.append((kind, delay, rng.randrange(8)))
-        elif r < 0.68:
-            program.append(("cancel", rng.randrange(1 << 30), 0))
-        elif r < 0.70:
-            program.append(("cancel_burst", rng.randrange(1 << 30), 0))
         elif r < 0.95:
             program.append(("pop", 0, 0))
         else:
@@ -58,34 +52,23 @@ def _random_program(seed, steps):
 def _execute(queue, program):
     """Run a program; return the dispatch trace and final state."""
     trace = []
-    handles = []
     base = 0  # advances with dispatched times, so pushes stay relative
     for kind, arg, priority in program:
         if kind in ("push", "push_daemon"):
-            ev = queue.push(
+            queue.push(
                 base + arg, priority, lambda: None, daemon=kind == "push_daemon"
             )
-            handles.append(ev)
-        elif kind == "cancel":
-            if handles:
-                handles[arg % len(handles)].cancel()
-        elif kind == "cancel_burst":
-            # Cancel most handles at once: on the heap, cancelled
-            # shells outnumber live entries and trigger compaction.
-            for i, ev in enumerate(handles):
-                if (i + arg) % 4:
-                    ev.cancel()
         elif kind == "pop":
             if queue.peek_time() is not None:
-                ev = queue.pop()
-                trace.append((ev.time, ev.priority, ev.seq, ev.daemon))
-                base = ev.time
+                time, priority, seq, _, daemon = queue.pop()
+                trace.append((time, priority, seq, daemon))
+                base = time
         elif kind == "peek":
             trace.append(("peek", queue.peek_time()))
     # Drain what's left so tail-end ordering is compared too.
     while queue.peek_time() is not None:
-        ev = queue.pop()
-        trace.append((ev.time, ev.priority, ev.seq, ev.daemon))
+        time, priority, seq, _, daemon = queue.pop()
+        trace.append((time, priority, seq, daemon))
     trace.append(("live", queue.live_foreground))
     return trace
 
@@ -111,17 +94,15 @@ def test_below_cursor_pushes_dispatch_identically(seed):
             t = rng_q.randrange(6 * _FAR)
             queue.push(t, rng_q.randrange(4), lambda: None)
             if rng_q.random() < 0.5 and queue.live_foreground:
-                ev = queue.pop()
-                trace.append((ev.time, ev.priority, ev.seq))
+                trace.append(queue.pop()[:3])
         while queue.live_foreground:
-            ev = queue.pop()
-            trace.append((ev.time, ev.priority, ev.seq))
+            trace.append(queue.pop()[:3])
     assert traces[0] == traces[1]
 
 
 def test_simulator_runs_identically_across_backends():
-    """A kernel-level workload (cascading callbacks, cancels, daemons,
-    bounded runs) observed through fired-event journals."""
+    """A kernel-level workload (cascading callbacks, daemons, bounded
+    runs) observed through fired-event journals."""
 
     def drive(reference):
         sim = Simulator()
@@ -129,18 +110,13 @@ def test_simulator_runs_identically_across_backends():
             sim._queue = ReferenceQueue()
         journal = []
         rng = random.Random(77)
-        retained = []
 
         def work(tag):
             journal.append((sim.now, tag))
             if rng.random() < 0.6:
                 sim.schedule(rng.randrange(4), lambda: work(tag + 1))
             if rng.random() < 0.3:
-                retained.append(
-                    sim.schedule(rng.randrange(90), lambda: work(-tag))
-                )
-            if retained and rng.random() < 0.4:
-                retained.pop(rng.randrange(len(retained))).cancel()
+                sim.schedule(rng.randrange(90), lambda: work(-tag))
 
         sim.schedule(0, lambda: work(1), daemon=False)
         sim.schedule(3, lambda: journal.append((sim.now, "tick")), daemon=True)

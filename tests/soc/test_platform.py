@@ -123,3 +123,21 @@ class TestExecution:
         platform = Platform(config)
         platform.run(1_000_000)
         assert len(platform.trace) == 10
+
+    def test_zcu102_event_count_is_pinned(self):
+        # The kernel's per-transaction event cost, pinned on the paper
+        # platform: an arbitration pass is only queued when some port
+        # can still offer a head.  Cycle and per-port completions are
+        # those of the model; the event count is its host cost.
+        from repro.soc.presets import zcu102
+
+        platform = Platform(zcu102(num_accels=4, cpu_work=4000))
+        assert platform.run(2_000_000) == 566_676
+        assert platform.sim.events_dispatched == 149_048
+        completed = {
+            name: port.stats.counter("completed").value
+            for name, port in platform.ports.items()
+        }
+        assert completed == {
+            "cpu0": 4000, "acc0": 6224, "acc1": 6224, "acc2": 6216, "acc3": 6216,
+        }
