@@ -12,8 +12,9 @@ The final sweep point deliberately offers *more* than the residual
 capacity the hog reservations leave (10.2 B/cyc offered vs ~6.8
 residual): there the unreserved victim collapses even though the hogs
 are regulated.  Reservations are guarantees for their holders, not
-for bystanders -- open-loop actors must be admitted with their own
-budget (see `repro.qos.admission`).
+for bystanders -- open-loop actors must fit in the residual capacity
+(`repro.analysis.bounds.guaranteed_bandwidth` computes it and rejects
+oversubscribed reservations).
 """
 
 from __future__ import annotations

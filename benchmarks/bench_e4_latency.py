@@ -10,12 +10,17 @@ the solo baseline.
 
 from __future__ import annotations
 
+from repro.analysis.bounds import CoRunnerEnvelope, worst_case_read_latency
 from repro.regulation.factory import RegulatorSpec
 from repro.soc.experiment import run_experiment
 
 from benchmarks.common import loaded_config, memguard_spec, report, tc_spec
 
 SHARE = 0.10
+
+#: Beats per burst of the workloads E4 runs: the critical core's
+#: 64-byte line fills and the hogs' 256-byte DMA bursts (16 B/beat).
+BURST_BEATS = {"latency_probe": 4, "stream_read": 16}
 
 
 def _percentile_row(name, result, solo_p99):
@@ -32,48 +37,75 @@ def _percentile_row(name, result, solo_p99):
     }
 
 
+def latency_bound(config):
+    """The analytic worst-case latency of ``config``'s critical master.
+
+    Every other master is a co-runner with its port's outstanding
+    limit and its workload's burst length.
+    """
+    critical = next(m for m in config.masters if m.critical)
+    co_runners = [
+        CoRunnerEnvelope(m.max_outstanding, BURST_BEATS[m.workload])
+        for m in config.masters
+        if m is not critical
+    ]
+    return worst_case_read_latency(
+        timing=config.dram.timing,
+        interconnect=config.interconnect,
+        co_runners=co_runners,
+        critical_burst_beats=BURST_BEATS[critical.workload],
+        frfcfs_cap=config.dram.frfcfs_cap,
+        own_outstanding=critical.max_outstanding,
+    )
+
+
 def run_e4():
-    solo = run_experiment(loaded_config(num_accels=0))
-    solo_p99 = solo.critical().latency_p99
-    rows = [_percentile_row("solo", solo, solo_p99)]
-
-    unreg = run_experiment(loaded_config(num_accels=4))
-    rows.append(_percentile_row("none", unreg, solo_p99))
-
-    # Static QoS: priority at the crossbar *and* at the DDR scheduler
-    # (QoS-aware controllers map AxQOS into scheduling priority --
-    # without that, crossbar priority alone has no measurable effect
-    # because the contention lives in the DRAM queue).
-    qos = run_experiment(
-        loaded_config(
-            num_accels=4,
-            arbiter="qos",
-            scheduler="frfcfs_qos",
-            cpu_regulator=RegulatorSpec(kind="static_qos", qos=15),
-        )
-    )
-    rows.append(_percentile_row("static_qos", qos, solo_p99))
-
-    memguard = run_experiment(
-        loaded_config(num_accels=4, accel_regulator=memguard_spec(SHARE))
-    )
-    rows.append(_percentile_row("memguard", memguard, solo_p99))
-
-    # The IP at its fine-grained operating point (256-cycle window =
-    # ~1 us at 250 MHz): small enough that a window's budget is about
-    # one DMA burst, so hog traffic arrives evenly spaced instead of
-    # in window-start clumps.
-    tc = run_experiment(
-        loaded_config(
-            num_accels=4, accel_regulator=tc_spec(SHARE, window_cycles=256)
-        )
-    )
-    rows.append(_percentile_row("tightly_coupled", tc, solo_p99))
-    return rows
+    """Run every scheme; return the table rows and each row's bound."""
+    configs = [
+        ("solo", loaded_config(num_accels=0)),
+        ("none", loaded_config(num_accels=4)),
+        # Static QoS: priority at the crossbar *and* at the DDR
+        # scheduler (QoS-aware controllers map AxQOS into scheduling
+        # priority -- without that, crossbar priority alone has no
+        # measurable effect because the contention lives in the DRAM
+        # queue).
+        (
+            "static_qos",
+            loaded_config(
+                num_accels=4,
+                arbiter="qos",
+                scheduler="frfcfs_qos",
+                cpu_regulator=RegulatorSpec(kind="static_qos", qos=15),
+            ),
+        ),
+        (
+            "memguard",
+            loaded_config(num_accels=4, accel_regulator=memguard_spec(SHARE)),
+        ),
+        # The IP at its fine-grained operating point (256-cycle window
+        # = ~1 us at 250 MHz): small enough that a window's budget is
+        # about one DMA burst, so hog traffic arrives evenly spaced
+        # instead of in window-start clumps.
+        (
+            "tightly_coupled",
+            loaded_config(
+                num_accels=4, accel_regulator=tc_spec(SHARE, window_cycles=256)
+            ),
+        ),
+    ]
+    rows, bounds = [], {}
+    solo_p99 = None
+    for name, config in configs:
+        result = run_experiment(config)
+        if solo_p99 is None:
+            solo_p99 = result.critical().latency_p99
+        rows.append(_percentile_row(name, result, solo_p99))
+        bounds[name] = latency_bound(config)
+    return rows, bounds
 
 
 def test_e4_latency_distribution(benchmark):
-    rows = benchmark.pedantic(run_e4, rounds=1, iterations=1)
+    rows, bounds = benchmark.pedantic(run_e4, rounds=1, iterations=1)
     report(
         "e4_latency",
         rows,
@@ -95,6 +127,8 @@ def test_e4_latency_distribution(benchmark):
     # below the unregulated one.
     assert by_scheme["tightly_coupled"]["p99_vs_solo"] < 4.0
     assert by_scheme["tightly_coupled"]["p50"] < by_scheme["none"]["p50"]
-    # Distributions are ordered sanely.
+    # Distributions are ordered sanely, and no critical transaction
+    # exceeds the analytic worst-case bound of its configuration.
     for row in rows:
         assert row["p50"] <= row["p95"] <= row["p99"] <= row["max"]
+        assert row["max"] <= bounds[row["scheme"]], row["scheme"]

@@ -11,10 +11,10 @@ bandwidth while keeping the critical slowdown below ~10-20%.
 
 from __future__ import annotations
 
-from repro.analysis.metrics import slowdown, utilization_of
+from repro.analysis.metrics import slowdown
 from repro.soc.experiment import run_experiment
 
-from benchmarks.common import PEAK, loaded_config, report, tc_spec
+from benchmarks.common import loaded_config, report, tc_spec
 
 HOGS = 4
 SHARES = (0.025, 0.05, 0.10, 0.15, 0.20, 0.25)

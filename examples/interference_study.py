@@ -10,8 +10,6 @@ row-buffer behaviour.
 Run:  python examples/interference_study.py
 """
 
-import dataclasses
-
 from repro import run_experiment, slowdown, zcu102
 from repro.analysis.sweep import format_table
 

@@ -46,14 +46,12 @@ from repro.sim.kernel import Simulator
 from repro.axi.bridge import Bridge
 from repro.axi.interconnect import Interconnect, InterconnectConfig
 from repro.axi.port import MasterPort, PortConfig
-from repro.axi.qos import QosMap
 from repro.axi.txn import Transaction
 from repro.dram.controller import DramConfig, DramController
 from repro.dram.timing import DramTiming
 from repro.monitor.histogram import LatencyHistogram
 from repro.monitor.latency import LatencyMonitor
 from repro.monitor.window import WindowedBandwidthMonitor
-from repro.qos.admission import AdmissionController, AdmissionDecision
 from repro.qos.budget import BandwidthBudget
 from repro.qos.manager import QosManager
 from repro.qos.policy import QosPolicy, critical_plus_besteffort, proportional_shares
@@ -109,7 +107,7 @@ from repro.analysis.bounds import (
     worst_case_read_latency,
 )
 from repro.analysis.calibration import CalibrationResult, calibrate
-from repro.analysis.compare import compare_results, critical_summary
+from repro.analysis.compare import critical_summary
 from repro.analysis.report import render_report
 from repro.analysis.resources import ResourceEstimate, ResourceModel
 
@@ -139,7 +137,6 @@ __all__ = [
     "InterconnectConfig",
     "MasterPort",
     "PortConfig",
-    "QosMap",
     "Transaction",
     # dram
     "DramConfig",
@@ -150,8 +147,6 @@ __all__ = [
     "LatencyMonitor",
     "WindowedBandwidthMonitor",
     # qos
-    "AdmissionController",
-    "AdmissionDecision",
     "BandwidthBudget",
     "QosManager",
     "QosPolicy",
@@ -209,7 +204,6 @@ __all__ = [
     "worst_case_read_latency",
     "CalibrationResult",
     "calibrate",
-    "compare_results",
     "critical_summary",
     "render_report",
     "ResourceEstimate",

@@ -1,17 +1,15 @@
 """Comparing two runs.
 
-A recurring analysis step -- "same system, two configurations, what
-changed?" -- packaged as a function: :func:`compare_results` lines up
-two :class:`~repro.soc.experiment.PlatformResult` objects master by
-master and reports the deltas that matter for QoS work (bandwidth,
-tail latency, completion time), plus the DRAM-level view.
+:func:`critical_summary` answers "same system, two configurations,
+what changed for the critical master?": the tail-latency, mean-latency
+and completion-time ratios between two
+:class:`~repro.soc.experiment.PlatformResult` objects.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
-from repro.errors import ConfigError
 from repro.soc.experiment import PlatformResult
 
 
@@ -19,62 +17,6 @@ def _ratio(after: float, before: float) -> float:
     if before == 0:
         return float("inf") if after else 1.0
     return after / before
-
-
-def compare_results(
-    before: PlatformResult,
-    after: PlatformResult,
-    label_before: str = "before",
-    label_after: str = "after",
-) -> List[Dict[str, object]]:
-    """Tabulate per-master deltas between two runs.
-
-    Args:
-        before / after: The two runs; they must share master names.
-        label_before / label_after: Column-name prefixes.
-
-    Returns:
-        One row per master plus a final ``dram`` row; each row holds
-        both absolute values and the after/before ratios.
-
-    Raises:
-        ConfigError: if the runs' master sets differ.
-    """
-    if set(before.masters) != set(after.masters):
-        raise ConfigError(
-            f"cannot compare runs with different masters: "
-            f"{sorted(before.masters)} vs {sorted(after.masters)}"
-        )
-    rows: List[Dict[str, object]] = []
-    for name in sorted(before.masters):
-        b, a = before.master(name), after.master(name)
-        rows.append(
-            {
-                "master": name,
-                f"{label_before}_bw": b.bandwidth_bytes_per_cycle,
-                f"{label_after}_bw": a.bandwidth_bytes_per_cycle,
-                "bw_ratio": _ratio(
-                    a.bandwidth_bytes_per_cycle, b.bandwidth_bytes_per_cycle
-                ),
-                f"{label_before}_p99": b.latency_p99,
-                f"{label_after}_p99": a.latency_p99,
-                "p99_ratio": _ratio(a.latency_p99, b.latency_p99),
-            }
-        )
-    rows.append(
-        {
-            "master": "(dram)",
-            f"{label_before}_bw": before.dram.utilization,
-            f"{label_after}_bw": after.dram.utilization,
-            "bw_ratio": _ratio(after.dram.utilization, before.dram.utilization),
-            f"{label_before}_p99": before.dram.row_hit_rate,
-            f"{label_after}_p99": after.dram.row_hit_rate,
-            "p99_ratio": _ratio(
-                after.dram.row_hit_rate, before.dram.row_hit_rate
-            ),
-        }
-    )
-    return rows
 
 
 def critical_summary(

@@ -16,25 +16,22 @@ Key classes:
   enforces outstanding limits and hosts the (optional) regulator.
 * :class:`repro.axi.interconnect.Interconnect` -- the crossbar /
   arbiter between master ports and the DRAM controller port.
-* :mod:`repro.axi.arbiter` -- round-robin, fixed-priority and
-  QoS-400-style arbitration policies.
+* :mod:`repro.axi.arbiter` -- round-robin and QoS-400-style
+  arbitration policies.
 """
 
 from repro.axi.arbiter import (
     Arbiter,
-    FixedPriorityArbiter,
     QosArbiter,
     RoundRobinArbiter,
     make_arbiter,
 )
 from repro.axi.interconnect import Interconnect, InterconnectConfig
 from repro.axi.port import MasterPort, PortConfig
-from repro.axi.qos import QosMap
 from repro.axi.txn import Transaction
 
 __all__ = [
     "Arbiter",
-    "FixedPriorityArbiter",
     "QosArbiter",
     "RoundRobinArbiter",
     "make_arbiter",
@@ -42,6 +39,5 @@ __all__ = [
     "InterconnectConfig",
     "MasterPort",
     "PortConfig",
-    "QosMap",
     "Transaction",
 ]

@@ -2,11 +2,10 @@
 
 An arbiter picks, among the master ports that currently have an
 eligible head-of-line transaction, the one whose address phase is
-accepted this cycle.  Three policies are provided, matching what the
+accepted this cycle.  Two policies are provided, matching what the
 commercial fabric of the modelled SoC offers:
 
 * :class:`RoundRobinArbiter` -- the fair default of AXI crossbars.
-* :class:`FixedPriorityArbiter` -- static port priorities.
 * :class:`QosArbiter` -- AXI QoS-400 style: highest transaction QoS
   value wins, round-robin among equals.  This is the "static priority
   QoS" baseline the paper contrasts with true bandwidth regulation.
@@ -14,10 +13,9 @@ commercial fabric of the modelled SoC offers:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.errors import ConfigError
-from repro.axi.txn import Transaction
 
 
 class Arbiter:
@@ -60,26 +58,6 @@ class RoundRobinArbiter(Arbiter):
         return best_index
 
 
-class FixedPriorityArbiter(Arbiter):
-    """Static priorities per port; lower priority number wins.
-
-    Args:
-        priorities: Mapping from port index to priority level.  Ports
-            missing from the map get the lowest priority (a large
-            number).  Ties break by port index.
-    """
-
-    def __init__(self, priorities: Optional[Dict[int, int]] = None) -> None:
-        self._priorities = dict(priorities or {})
-
-    def select(self, candidates: Sequence[tuple]) -> int:
-        def key(item: tuple) -> tuple:
-            port_index, _txn = item
-            return (self._priorities.get(port_index, 1 << 20), port_index)
-
-        return min(candidates, key=key)[0]
-
-
 class QosArbiter(Arbiter):
     """AXI QoS-400 style arbitration.
 
@@ -101,17 +79,15 @@ class QosArbiter(Arbiter):
 
 _ARBITERS = {
     "round_robin": RoundRobinArbiter,
-    "fixed_priority": FixedPriorityArbiter,
     "qos": QosArbiter,
 }
 
 
-def make_arbiter(name: str, **kwargs) -> Arbiter:
+def make_arbiter(name: str) -> Arbiter:
     """Factory: build an arbiter by policy name.
 
     Args:
-        name: One of ``round_robin``, ``fixed_priority``, ``qos``.
-        **kwargs: Forwarded to the arbiter constructor.
+        name: One of ``round_robin``, ``qos``.
     """
     try:
         cls = _ARBITERS[name]
@@ -119,4 +95,4 @@ def make_arbiter(name: str, **kwargs) -> Arbiter:
         raise ConfigError(
             f"unknown arbiter {name!r}; choose from {sorted(_ARBITERS)}"
         ) from None
-    return cls(**kwargs)
+    return cls()

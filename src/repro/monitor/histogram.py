@@ -9,7 +9,7 @@ compact streaming alternative.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.errors import ConfigError
 

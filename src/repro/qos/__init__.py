@@ -13,19 +13,11 @@ into regulator configurations, and drives run-time reconfiguration:
   reprogramming latencies.
 """
 
-from repro.qos.admission import (
-    AdmissionController,
-    AdmissionDecision,
-    Reservation,
-)
 from repro.qos.budget import BandwidthBudget
 from repro.qos.manager import QosManager
 from repro.qos.policy import QosPolicy, critical_plus_besteffort, proportional_shares
 
 __all__ = [
-    "AdmissionController",
-    "AdmissionDecision",
-    "Reservation",
     "BandwidthBudget",
     "QosManager",
     "QosPolicy",

@@ -18,7 +18,7 @@ from repro.regulation.memguard import MemGuardConfig, MemGuardRegulator, Reclaim
 from repro.regulation.noreg import NoRegulation
 from repro.regulation.static_qos import StaticQosRegulator
 from repro.regulation.prem import PremController, PremRegulator
-from repro.regulation.tdma import TdmaRegulator, TdmaSchedule
+from repro.regulation.tdma import TdmaRegulator
 from repro.regulation.tightly_coupled import (
     TightlyCoupledConfig,
     TightlyCoupledRegulator,

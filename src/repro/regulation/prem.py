@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.errors import RegulationError
-from repro.sim.kernel import Phase, Simulator
+from repro.sim.kernel import Simulator
 from repro.axi.port import MasterPort
 from repro.axi.txn import Transaction
 from repro.regulation.base import BandwidthRegulator

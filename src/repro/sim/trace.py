@@ -1,14 +1,13 @@
 """Optional transaction tracing.
 
 A :class:`TraceRecorder` collects one :class:`TraceRecord` per
-completed transaction.  Traces serve three purposes: debugging,
-trace-replay traffic generation (:mod:`repro.traffic.trace`), and
-offline analysis in the examples.
+completed transaction.  Traces serve debugging and offline analysis;
+the Perfetto export (:mod:`repro.telemetry.perfetto`) draws them as
+per-master transaction slices.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional
 
@@ -50,19 +49,6 @@ class TraceRecord:
         return self.accepted - self.created
 
 
-def _parse_bool(value: str) -> bool:
-    """Parse the ``is_write`` CSV column.
-
-    :meth:`TraceRecorder.write_csv` emits ``0``/``1``, but traces
-    written by other tools (or a ``str(bool)``-style dump) carry
-    ``True``/``False`` -- accept both rather than silently mis-parsing.
-    """
-    text = value.strip().lower()
-    if text in ("true", "false"):
-        return text == "true"
-    return bool(int(text))
-
-
 class TraceRecorder:
     """Accumulates trace records, optionally filtered by master name."""
 
@@ -83,57 +69,3 @@ class TraceRecorder:
 
     def for_master(self, master: str) -> List[TraceRecord]:
         return [r for r in self._records if r.master == master]
-
-    def write_csv(self, path: str) -> None:
-        """Dump all records to a CSV file usable by trace replay."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                [
-                    "master",
-                    "txn_id",
-                    "is_write",
-                    "addr",
-                    "nbytes",
-                    "created",
-                    "issued",
-                    "accepted",
-                    "completed",
-                ]
-            )
-            for r in self._records:
-                writer.writerow(
-                    [
-                        r.master,
-                        r.txn_id,
-                        int(r.is_write),
-                        r.addr,
-                        r.nbytes,
-                        r.created,
-                        r.issued,
-                        r.accepted,
-                        r.completed,
-                    ]
-                )
-
-    @staticmethod
-    def read_csv(path: str) -> List[TraceRecord]:
-        """Load records produced by :meth:`write_csv`."""
-        records: List[TraceRecord] = []
-        with open(path, newline="") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                records.append(
-                    TraceRecord(
-                        master=row["master"],
-                        txn_id=int(row["txn_id"]),
-                        is_write=_parse_bool(row["is_write"]),
-                        addr=int(row["addr"]),
-                        nbytes=int(row["nbytes"]),
-                        created=int(row["created"]),
-                        issued=int(row["issued"]),
-                        accepted=int(row["accepted"]),
-                        completed=int(row["completed"]),
-                    )
-                )
-        return records

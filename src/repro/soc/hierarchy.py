@@ -15,7 +15,7 @@ misbehaving accelerator starve its fabric neighbours.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
 from repro.errors import ConfigError

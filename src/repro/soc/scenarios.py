@@ -17,7 +17,7 @@ Example::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.regulation.factory import RegulatorSpec

@@ -11,8 +11,7 @@ platform:
   in flight (the "bandwidth hog" / best-effort actor).
 
 :mod:`repro.traffic.workloads` composes them into kernel-shaped
-workloads (memcpy, streaming matmul, strided FFT, pointer chase) and
-:mod:`repro.traffic.trace` replays recorded traces.
+workloads (memcpy, streaming matmul, strided FFT, pointer chase).
 """
 
 from repro.traffic.accelerator import AcceleratorConfig, StreamAccelerator
@@ -26,7 +25,6 @@ from repro.traffic.patterns import (
     StridedPattern,
     make_pattern,
 )
-from repro.traffic.trace import TraceReplayMaster
 from repro.traffic.workloads import WORKLOADS, WorkloadSpec, make_workload
 
 __all__ = [
@@ -42,7 +40,6 @@ __all__ = [
     "SequentialPattern",
     "StridedPattern",
     "make_pattern",
-    "TraceReplayMaster",
     "WORKLOADS",
     "WorkloadSpec",
     "make_workload",

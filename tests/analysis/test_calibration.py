@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.analysis.calibration import (
-    CalibrationResult,
     calibrate,
     measure_peak_bandwidth,
     measure_solo_latency,

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.errors import ConfigError
-from repro.analysis.compare import compare_results, critical_summary
+from repro.analysis.compare import critical_summary
 from repro.regulation.factory import RegulatorSpec
 from repro.soc.experiment import run_experiment
 from repro.soc.presets import zcu102
@@ -19,31 +18,6 @@ def pair():
         zcu102(num_accels=2, cpu_work=800, accel_regulator=spec)
     )
     return unreg, reg
-
-
-class TestCompareResults:
-    def test_rows_cover_masters_plus_dram(self, pair):
-        rows = compare_results(*pair)
-        names = [r["master"] for r in rows]
-        assert names == ["acc0", "acc1", "cpu0", "(dram)"]
-
-    def test_ratios_reflect_regulation(self, pair):
-        rows = compare_results(*pair)
-        by_name = {r["master"]: r for r in rows}
-        # Hog bandwidth dropped, critical tail improved.
-        assert by_name["acc0"]["bw_ratio"] < 0.8
-        assert by_name["cpu0"]["p99_ratio"] < 1.0
-        assert by_name["(dram)"]["bw_ratio"] < 1.0
-
-    def test_custom_labels(self, pair):
-        rows = compare_results(*pair, label_before="unreg",
-                               label_after="reg")
-        assert "unreg_bw" in rows[0] and "reg_bw" in rows[0]
-
-    def test_mismatched_masters_rejected(self, pair):
-        other = run_experiment(zcu102(num_accels=1, cpu_work=400))
-        with pytest.raises(ConfigError):
-            compare_results(pair[0], other)
 
 
 class TestCriticalSummary:

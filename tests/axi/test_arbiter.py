@@ -4,12 +4,13 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.axi.arbiter import (
-    FixedPriorityArbiter,
     QosArbiter,
     RoundRobinArbiter,
     make_arbiter,
 )
 from repro.axi.txn import Transaction
+from repro.soc.platform import Platform
+from repro.soc.presets import zcu102
 
 
 def txn(qos=0):
@@ -46,21 +47,6 @@ class TestRoundRobin:
         assert all(count == 100 for count in wins.values())
 
 
-class TestFixedPriority:
-    def test_lowest_priority_number_wins(self):
-        arb = FixedPriorityArbiter({0: 5, 1: 1, 2: 3})
-        assert arb.select([(0, txn()), (1, txn()), (2, txn())]) == 1
-
-    def test_unlisted_port_loses(self):
-        arb = FixedPriorityArbiter({1: 1})
-        assert arb.select([(0, txn()), (1, txn())]) == 1
-        assert arb.select([(0, txn())]) == 0
-
-    def test_tie_breaks_by_port_index(self):
-        arb = FixedPriorityArbiter({0: 2, 1: 2})
-        assert arb.select([(1, txn()), (0, txn())]) == 0
-
-
 class TestQosArbiter:
     def test_highest_qos_wins(self):
         arb = QosArbiter()
@@ -82,10 +68,11 @@ class TestFactory:
     def test_make_known(self):
         assert isinstance(make_arbiter("round_robin"), RoundRobinArbiter)
         assert isinstance(make_arbiter("qos"), QosArbiter)
-        assert isinstance(
-            make_arbiter("fixed_priority", priorities={0: 1}), FixedPriorityArbiter
-        )
 
     def test_make_unknown_raises(self):
         with pytest.raises(ConfigError):
             make_arbiter("lottery")
+
+    def test_unknown_arbiter_fails_at_platform_build(self):
+        with pytest.raises(ConfigError):
+            Platform(zcu102(arbiter="fixed_priority"))

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.axi.txn import Transaction
 from repro.dram.address_map import AddressMap
-from repro.dram.controller import DramConfig, DramController
+from repro.dram.controller import DramConfig
 from repro.dram.timing import DramTiming
 from tests.conftest import MiniSystem
 

@@ -1,7 +1,5 @@
 """End-to-end integration tests across the full stack."""
 
-import pytest
-
 from repro.analysis.metrics import slowdown
 from repro.regulation.factory import RegulatorSpec
 from repro.soc.experiment import run_experiment, run_solo_baseline

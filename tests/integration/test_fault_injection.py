@@ -10,15 +10,13 @@ survive or make visible:
   the system.
 """
 
-import pytest
-
 from repro.analysis.bounds import CoRunnerEnvelope, worst_case_read_latency
 from repro.axi.txn import Transaction
 from repro.qos.budget import BandwidthBudget
 from repro.regulation.base import BandwidthRegulator
 from repro.regulation.factory import RegulatorSpec
 from repro.soc.experiment import PlatformResult, run_experiment
-from repro.soc.platform import MasterSpec, Platform, PlatformConfig
+from repro.soc.platform import Platform
 from repro.soc.presets import zcu102, zcu102_dram, zcu102_interconnect
 
 MB = 1 << 20

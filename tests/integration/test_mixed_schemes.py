@@ -12,7 +12,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.qos.budget import BandwidthBudget
 from repro.regulation.factory import RegulatorSpec
-from repro.soc.experiment import PlatformResult, run_experiment
+from repro.soc.experiment import PlatformResult
 from repro.soc.platform import MasterSpec, Platform, PlatformConfig
 
 MB = 1 << 20

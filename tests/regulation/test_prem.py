@@ -8,7 +8,6 @@ from repro.regulation.prem import PremController, PremRegulator
 from repro.soc.experiment import run_experiment
 from repro.soc.platform import Platform
 from repro.soc.presets import zcu102
-from repro.sim.kernel import Simulator
 
 
 class TestControllerUnit:

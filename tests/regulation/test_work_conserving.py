@@ -1,7 +1,5 @@
 """Tests for CMRI-style work-conserving injection."""
 
-import pytest
-
 from repro.regulation.factory import RegulatorSpec
 from repro.regulation.tightly_coupled import (
     TightlyCoupledConfig,

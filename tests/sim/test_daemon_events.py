@@ -1,7 +1,5 @@
 """Tests for daemon-event semantics (background activity)."""
 
-from repro.sim.kernel import Simulator
-
 
 class TestDaemonEvents:
     def test_run_drains_when_only_daemons_remain(self, sim):

@@ -1,7 +1,5 @@
 """Unit tests for per-component RNGs and trace recording."""
 
-import pytest
-
 from repro.sim.rng import component_rng
 from repro.sim.trace import TraceRecord, TraceRecorder
 
@@ -58,50 +56,3 @@ class TestTraceRecorder:
         assert len(tr) == 1
         assert tr.for_master("a")[0].master == "a"
         assert tr.for_master("b") == []
-
-    def test_csv_roundtrip(self, tmp_path):
-        tr = TraceRecorder()
-        tr.record(_record(txn_id=1))
-        tr.record(_record(txn_id=2, completed=99))
-        path = str(tmp_path / "trace.csv")
-        tr.write_csv(path)
-        back = TraceRecorder.read_csv(path)
-        assert len(back) == 2
-        assert back[0] == _record(txn_id=1)
-        assert back[1].completed == 99
-
-    def test_csv_roundtrip_preserves_is_write_bool(self, tmp_path):
-        """Regression: ``is_write`` must come back as a real bool."""
-        tr = TraceRecorder()
-        for is_write in (False, True):
-            tr.record(
-                TraceRecord(
-                    master="m0", txn_id=int(is_write), is_write=is_write,
-                    addr=0, nbytes=64, created=0, issued=0, accepted=1,
-                    completed=2,
-                )
-            )
-        path = str(tmp_path / "trace.csv")
-        tr.write_csv(path)
-        back = TraceRecorder.read_csv(path)
-        assert back[0].is_write is False
-        assert back[1].is_write is True
-
-    def test_csv_accepts_str_bool_column(self, tmp_path):
-        """Traces written by other tools spell the flag True/False."""
-        path = tmp_path / "trace.csv"
-        header = (
-            "master,txn_id,is_write,addr,nbytes,"
-            "created,issued,accepted,completed"
-        )
-        path.write_text(
-            f"{header}\n"
-            "m0,0,True,0,64,0,0,1,2\n"
-            "m0,1,False,0,64,0,0,1,2\n"
-            "m0,2,1,0,64,0,0,1,2\n"
-        )
-        back = TraceRecorder.read_csv(str(path))
-        assert [r.is_write for r in back] == [True, False, True]
-        with pytest.raises(ValueError):
-            path.write_text(f"{header}\nm0,0,maybe,0,64,0,0,1,2\n")
-            TraceRecorder.read_csv(str(path))

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ConfigError, ProtocolError
 from repro.axi.bridge import Bridge
-from repro.axi.port import MasterPort, PortConfig
 from repro.regulation.factory import RegulatorSpec
 from repro.soc.hierarchy import TwoLevelConfig, TwoLevelPlatform
 from repro.soc.platform import MasterSpec

@@ -1,7 +1,5 @@
 """Tests for the shared regulator provisioner."""
 
-import pytest
-
 from repro.regulation.factory import RegulatorSpec
 from repro.regulation.memguard import MemGuardRegulator
 from repro.regulation.prem import PremRegulator

@@ -1,13 +1,8 @@
 """Tests for the benchmark harness helpers."""
 
-import os
-
-import pytest
-
 from benchmarks.common import (
     CPU_WORK,
     PEAK,
-    RESULTS_DIR,
     loaded_config,
     memguard_spec,
     report,

@@ -27,8 +27,6 @@ class TestExampleInventory:
             "dynamic_reconfiguration.py",
             "hierarchical_soc.py",
             "regulator_comparison.py",
-            "admission_control.py",
-            "trace_replay_study.py",
         }
 
     @pytest.mark.parametrize("name", ALL_EXAMPLES)

@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ProtocolError
 from repro.traffic.master import Master
-from repro.axi.txn import Transaction
 
 
 class _OneShotMaster(Master):

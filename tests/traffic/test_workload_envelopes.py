@@ -5,8 +5,6 @@ these tests verify the claims hold in simulation (locality, MLP,
 read/write mix), so the library stays honest as models evolve.
 """
 
-import pytest
-
 from repro.sim.kernel import Simulator
 from repro.traffic.workloads import make_workload
 from tests.conftest import MiniSystem
