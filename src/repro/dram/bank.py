@@ -61,13 +61,15 @@ class Bank:
             accounted by the controller.
         """
         kind = self.classify(row)
-        latency = self.access_latency(row, timing)
         if kind == "hit":
             self.hits += 1
+            latency = timing.hit_latency
         elif kind == "miss":
             self.misses += 1
+            latency = timing.miss_latency
         else:
             self.conflicts += 1
+            latency = timing.conflict_latency
         self.open_row = row
         done = start + latency
         self._ready_at = done

@@ -15,6 +15,11 @@ Scheduling policies:
 * ``fcfs`` -- strict arrival order; a pessimistic baseline used in
   sensitivity studies.
 
+The request queue is kept in age order, ``(arrival, txn_id)``, so
+every policy picks in one forward scan: the first eligible entry is
+the oldest, the first eligible entry whose row is open is the best
+row hit, and the scan stops there.
+
 Refresh is modelled as a periodic all-bank event that closes row
 buffers and blocks the data bus for ``t_rfc`` cycles.
 """
@@ -181,16 +186,22 @@ class DramController:
             and txn.is_write
             and self._buffered_writes < self.config.write_buffer_depth
         )
-        self._queue.append(
-            _QueueEntry(txn, self.sim.now, bank, row, posted=posted)
-        )
+        now = self.sim.now
+        # Age order: the tail, unless split AR/AW channels already
+        # queued a higher id in this cycle.
+        queue = self._queue
+        i = len(queue)
+        txn_id = txn.txn_id
+        while i and queue[i - 1].arrival == now and queue[i - 1].txn.txn_id > txn_id:
+            i -= 1
+        queue.insert(i, _QueueEntry(txn, now, bank, row, posted=posted))
         self._stat_enqueued.add()
         if posted:
             # The write buffer acknowledges immediately; the drain to
             # the device stays queued.
             self._buffered_writes += 1
             self._stat_posted.add()
-            txn.mark_mem_start(self.sim.now)
+            txn.mark_mem_start(now)
             upstream = self._upstream
             if upstream is None:
                 raise ProtocolError("no upstream attached to DRAM controller")
@@ -224,42 +235,51 @@ class DramController:
         if now < self._pick_free_at:
             self._kick()
             return
-        entry = self._pick(now)
-        self._queue.remove(entry)
-        self._service(entry, now)
+        self._service(self._queue.pop(self._pick(now)), now)
         if self._queue:
             self._kick()
 
-    def _pick(self, now: int) -> _QueueEntry:
-        """Select the next request according to the configured policy."""
-        candidates = self._queue
-        if self.config.read_priority:
-            # Read-first with drain threshold: hold buffered writes
-            # back while reads are pending, until the buffer fills to
-            # its watermark.
-            reads = [e for e in candidates if not e.posted]
-            if reads and self._buffered_writes < self.config.write_drain_watermark:
-                candidates = reads
-        if self.config.scheduler == "frfcfs_qos":
-            top_qos = max(e.txn.qos for e in candidates)
-            candidates = [e for e in candidates if e.txn.qos == top_qos]
-        oldest = min(candidates, key=lambda e: (e.arrival, e.txn.txn_id))
-        if self.config.scheduler == "fcfs":
-            return oldest
-        # FR-FCFS with starvation cap.
-        hits = [
-            e for e in candidates if self.banks[e.bank].classify(e.row) == "hit"
-        ]
-        if not hits:
-            return oldest
-        best_hit = min(hits, key=lambda e: (e.arrival, e.txn.txn_id))
-        if best_hit is oldest:
-            return oldest
-        if oldest.bypasses >= self.config.frfcfs_cap:
-            return oldest
-        oldest.bypasses += 1
-        self._stat_bypasses.add()
-        return best_hit
+    # repro: hot
+    def _pick(self, now: int) -> int:
+        """Index of the next request: one scan of the age-ordered queue."""
+        queue = self._queue
+        config = self.config
+        # Read-first with drain threshold: hold buffered writes back
+        # while reads are pending, until the buffer fills to its
+        # watermark.
+        hold = False
+        watermark = config.write_drain_watermark
+        if config.read_priority and self._buffered_writes < watermark:
+            for e in queue:
+                if not e.posted:
+                    hold = True
+                    break
+        top_qos = None
+        if config.scheduler == "frfcfs_qos":
+            for e in queue:
+                qos = e.txn.qos
+                if not (hold and e.posted) and (top_qos is None or qos > top_qos):
+                    top_qos = qos
+        banks = self.banks
+        oldest = -1
+        for i, e in enumerate(queue):
+            if (hold and e.posted) or (top_qos is not None and e.txn.qos != top_qos):
+                continue
+            if oldest < 0:
+                oldest = i
+                if config.scheduler == "fcfs":
+                    return i
+            if banks[e.bank].open_row == e.row:
+                if i == oldest:
+                    return i
+                # FR-FCFS with starvation cap.
+                first = queue[oldest]
+                if first.bypasses >= config.frfcfs_cap:
+                    return oldest
+                first.bypasses += 1
+                self._stat_bypasses.add()
+                return i
+        return oldest
 
     def _service(self, entry: _QueueEntry, now: int) -> None:
         txn = entry.txn
